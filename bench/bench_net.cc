@@ -144,11 +144,10 @@ int main() {
       graph, workers.front()->fingerprint(), remote_options);
   CW_CHECK_OK(remote.status());
 
-  const WalkContext ctx(graph);
-  const LocalWalkBackend local(graph, &ctx);
+  const LocalWalkBackend local(graph);
   ShardingOptions sharding;
   sharding.num_shards = kWorkers;
-  auto sharded = ShardedWalkEngine::Build(graph, &ctx, sharding);
+  auto sharded = ShardedWalkEngine::Build(graph, sharding);
   CW_CHECK_OK(sharded.status());
 
   const uint32_t sources = quick ? 8 : 24;

@@ -108,13 +108,13 @@ bool BitIdentical(const WalkBackend& a, const WalkBackend& b,
 }
 
 std::shared_ptr<const ParallelWalkExecutor> MakeExecutor(
-    const Graph& graph, const WalkContext* ctx, int threads) {
+    const Graph& graph, int threads) {
   ParallelWalkOptions options;
   options.num_threads = threads;
   // Small enough that the quick workload still splits across 8 workers;
   // the split is pure scheduling, so this cannot affect answers.
   options.min_walkers_per_range = 64;
-  auto built = ParallelWalkExecutor::Build(graph, ctx, options);
+  auto built = ParallelWalkExecutor::Build(graph, options);
   CW_CHECK_OK(built.status());
   return std::move(built).value();
 }
@@ -173,8 +173,7 @@ int main() {
 
   const NodeId nodes = quick ? 20'000 : 100'000;
   const Graph graph = GenerateRmat(nodes, 8ull * nodes, /*seed=*/11);
-  const WalkContext ctx(graph);
-  const LocalWalkBackend local(graph, &ctx);
+  const LocalWalkBackend local(graph);
 
   const uint32_t sources = quick ? 24 : 64;
   WalkConfig config;
@@ -191,7 +190,7 @@ int main() {
             "1.00x"});
   double eff4 = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
-    const auto executor = MakeExecutor(graph, &ctx, threads);
+    const auto executor = MakeExecutor(graph, threads);
     const BackendRun run = RunWorkload(*executor, graph, sources, config);
     const double vs_single =
         run.StepsPerSecond() / single.StepsPerSecond();
@@ -217,7 +216,7 @@ int main() {
   // --- Bit-identity across thread counts. --------------------------------
   bool identical = true;
   for (const int threads : {2, 3, 8}) {
-    const auto executor = MakeExecutor(graph, &ctx, threads);
+    const auto executor = MakeExecutor(graph, threads);
     identical = identical && BitIdentical(local, *executor, graph, config);
   }
 

@@ -120,8 +120,7 @@ int main() {
 
   const NodeId nodes = quick ? 20'000 : 100'000;
   const Graph graph = GenerateRmat(nodes, 8ull * nodes, /*seed=*/11);
-  const WalkContext ctx(graph);
-  const LocalWalkBackend local(graph, &ctx);
+  const LocalWalkBackend local(graph);
 
   const uint32_t sources = quick ? 24 : 64;
   WalkConfig config;
@@ -133,7 +132,7 @@ int main() {
     ShardingOptions options;
     options.num_shards = shards;
     options.num_threads = threads;
-    auto built = ShardedWalkEngine::Build(graph, &ctx, options);
+    auto built = ShardedWalkEngine::Build(graph, options);
     CW_CHECK_OK(built.status());
     return std::move(built).value();
   };

@@ -92,7 +92,7 @@ class BinaryReader {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t n = 0;
     CW_RETURN_IF_ERROR(Read(&n));
-    if (pos_ + n * sizeof(T) > size_) {
+    if (n > (size_ - pos_) / sizeof(T)) {  // no overflow in n * sizeof(T)
       return Status::OutOfRange("BinaryReader: truncated vector");
     }
     out->resize(n);

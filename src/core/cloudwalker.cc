@@ -106,9 +106,8 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Shard(
   }
   CW_ASSIGN_OR_RETURN(
       std::shared_ptr<const ShardedWalkEngine> engine,
-      ShardedWalkEngine::Build(base->graph(), base->walk_context_.get(),
-                               options));
-  // The copy shares the graph / arena / snapshot ownership with `base`, so
+      ShardedWalkEngine::Build(base->graph(), options));
+  // The copy shares the graph / snapshot ownership with `base`, so
   // the borrowed pointers inside the engine stay pinned even after the
   // caller drops `base`. (A borrowed-graph base keeps its original
   // contract: the external graph must outlive the sharded instance too.)
@@ -135,10 +134,9 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Parallelize(
   }
   CW_ASSIGN_OR_RETURN(
       std::shared_ptr<const ParallelWalkExecutor> executor,
-      ParallelWalkExecutor::Build(base->graph(), base->walk_context_.get(),
-                                  options));
-  // Same ownership story as Shard(): the copy pins base's graph / arena /
-  // snapshot for the executor's borrowed pointers.
+      ParallelWalkExecutor::Build(base->graph(), options));
+  // Same ownership story as Shard(): the copy pins base's graph / snapshot
+  // for the executor's borrowed pointers.
   CloudWalker parallel(*base);
   parallel.walk_backend_ = std::move(executor);
   return std::shared_ptr<const CloudWalker>(
@@ -166,8 +164,8 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Distribute(
       std::shared_ptr<const RemoteWalkBackend> backend,
       RemoteWalkBackend::Connect(base->graph(),
                                  base->snapshot_->fingerprint(), options));
-  // Same ownership story as Shard(): the copy pins base's graph / arena /
-  // snapshot for the backend's borrowed pointers.
+  // Same ownership story as Shard(): the copy pins base's graph / snapshot
+  // for the backend's borrowed pointers.
   CloudWalker distributed(*base);
   distributed.walk_backend_ = std::move(backend);
   return std::shared_ptr<const CloudWalker>(
@@ -183,17 +181,13 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Open(
   auto graph = std::make_shared<const Graph>(Graph::FromCsrViews(
       view->num_nodes(), view->out_offsets(), view->out_targets(),
       view->in_offsets(), view->in_targets()));
-  auto context = std::make_shared<const WalkContext>(
-      *graph,
-      AliasArena::FromViews(view->arena_offsets(), view->arena_slots()));
   DiagonalIndex index =
       DiagonalIndex::FromView(view->params(), view->diagonal());
 
   const SnapshotMetadata& meta = view->metadata();
   CloudWalker opened(graph.get(), std::move(index),
                      StatsFromMetadata(meta),
-                     OptionsFromMetadata(view->params(), meta),
-                     std::move(context));
+                     OptionsFromMetadata(view->params(), meta));
   opened.owned_graph_ = std::move(graph);
   if (!view->permutation().empty()) {
     // Locality-reordered artifact: queries run on internal ids behind an
@@ -201,8 +195,7 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::Open(
     // the source's external id so answers match the unreordered artifact.
     opened.InstallPermutation(
         view->permutation(),
-        std::make_shared<const LocalWalkBackend>(*opened.graph_,
-                                                 opened.walk_context_.get()));
+        std::make_shared<const LocalWalkBackend>(*opened.graph_));
   }
   opened.snapshot_ = std::move(view);
   return std::shared_ptr<const CloudWalker>(
@@ -229,21 +222,13 @@ StatusOr<std::shared_ptr<const CloudWalker>> CloudWalker::OutOfCore(
   auto graph = std::make_shared<const Graph>(Graph::FromCsrViews(
       paged->num_nodes(), paged->out_offsets(), paged->out_targets(),
       paged->in_offsets(), std::span<const NodeId>{}));
-  // Degenerate arena for the same reason: the context is plumbing only.
-  auto context = std::make_shared<const WalkContext>(
-      *graph,
-      AliasArena::FromParts(
-          std::vector<uint64_t>(static_cast<size_t>(paged->num_nodes()) + 1,
-                                0),
-          {}));
   DiagonalIndex index =
       DiagonalIndex::FromView(paged->params(), paged->diagonal());
 
   const SnapshotMetadata& meta = paged->metadata();
   CloudWalker opened(graph.get(), std::move(index),
                      StatsFromMetadata(meta),
-                     OptionsFromMetadata(paged->params(), meta),
-                     std::move(context));
+                     OptionsFromMetadata(paged->params(), meta));
   opened.owned_graph_ = std::move(graph);
   opened.ooc_backend_ = backend;
   opened.walk_backend_ = backend;
@@ -308,8 +293,7 @@ Status CloudWalker::WriteSnapshot(const std::string& path) const {
     write_options.block_bytes = snapshot_->block_target_bytes();
     write_options.permutation = snapshot_->permutation();
   }
-  return SnapshotWriter::Write(path, *graph_, walk_context_->arena(),
-                               index_, BuildSnapshotMetadata(),
+  return SnapshotWriter::Write(path, *graph_, index_, BuildSnapshotMetadata(),
                                write_options);
 }
 
@@ -333,9 +317,8 @@ Status CloudWalker::WriteReorderedSnapshot(const std::string& path,
       DiagonalIndex::FromView(index_.params(), artifact.diagonal);
   SnapshotWriteOptions write_options;
   write_options.permutation = artifact.perm;
-  return SnapshotWriter::Write(path, artifact.graph, artifact.arena,
-                               permuted, BuildSnapshotMetadata(),
-                               write_options);
+  return SnapshotWriter::Write(path, artifact.graph, permuted,
+                               BuildSnapshotMetadata(), write_options);
 }
 
 Status CloudWalker::TakeBackendError() const {
@@ -360,8 +343,8 @@ StatusOr<double> CloudWalker::PairScore(NodeId i, NodeId j,
                                         const CancelToken* cancel) const {
   const double raw = SinglePairQuery(*graph_, index_, ToInternal(i),
                                      ToInternal(j), options, stats,
-                                     /*owner=*/nullptr, walk_context_.get(),
-                                     cancel, walk_backend_.get());
+                                     /*owner=*/nullptr, cancel,
+                                     walk_backend_.get());
   // Drain the backend error even when cancelled, so a stale failure never
   // leaks into the next query; cancellation takes reporting precedence.
   const Status backend = TakeBackendError();
@@ -375,8 +358,7 @@ StatusOr<SparseVector> CloudWalker::SourceVector(
     const CancelToken* cancel) const {
   SparseVector internal =
       SingleSourceQuery(*graph_, index_, ToInternal(q), options, stats,
-                        /*owner=*/nullptr, walk_context_.get(), cancel,
-                        walk_backend_.get());
+                        /*owner=*/nullptr, cancel, walk_backend_.get());
   const Status backend = TakeBackendError();
   if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
   if (!backend.ok()) return backend;
@@ -405,8 +387,7 @@ StatusOr<std::vector<ScoredNode>> CloudWalker::SourceTopK(
     const CancelToken* cancel) const {
   SparseVector internal =
       SingleSourceQuery(*graph_, index_, ToInternal(q), options, stats,
-                        /*owner=*/nullptr, walk_context_.get(), cancel,
-                        walk_backend_.get());
+                        /*owner=*/nullptr, cancel, walk_backend_.get());
   const Status backend = TakeBackendError();
   if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
   if (!backend.ok()) return backend;
@@ -421,8 +402,7 @@ StatusOr<std::vector<std::vector<ScoredNode>>> CloudWalker::AllPairsInternal(
     QueryStats* stats, const CancelToken* cancel) const {
   uint64_t walk_steps = 0;
   auto result = AllPairsTopK(*graph_, index_, options, k, pool, &walk_steps,
-                             walk_context_.get(), cancel,
-                             walk_backend_.get());
+                             cancel, walk_backend_.get());
   const Status backend = TakeBackendError();
   if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
   if (!backend.ok()) return backend;
@@ -455,8 +435,7 @@ StatusOr<std::vector<ScoredNode>> CloudWalker::PprTopK(
     const CancelToken* cancel) const {
   SparseVector endpoints =
       PersonalizedPageRankQuery(*graph_, index_, ToInternal(q), options,
-                                stats, /*owner=*/nullptr,
-                                walk_context_.get(), cancel,
+                                stats, /*owner=*/nullptr, cancel,
                                 walk_backend_.get());
   const Status backend = TakeBackendError();
   if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
@@ -471,8 +450,7 @@ StatusOr<std::vector<ScoredNode>> CloudWalker::N2vTopK(
     const CancelToken* cancel) const {
   SparseVector visits =
       Node2VecVisitQuery(*graph_, index_, ToInternal(q), options, stats,
-                         /*owner=*/nullptr, walk_context_.get(), cancel,
-                         walk_backend_.get());
+                         /*owner=*/nullptr, cancel, walk_backend_.get());
   const Status backend = TakeBackendError();
   if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
   if (!backend.ok()) return backend;

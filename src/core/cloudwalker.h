@@ -63,11 +63,11 @@ enum class ReorderKind : uint32_t;
 /// const and thread-safe (independent RNG streams per call).
 ///
 /// Lifecycle (DESIGN.md section 9): the expensive offline work — index
-/// estimation and arena build — happens once, in Build(); the result can
+/// estimation — happens once, in Build(); the result can
 /// be persisted with WriteSnapshot() and reopened near-instantly with
 /// Open(), which mmaps the artifact and serves every flat array zero-copy.
 /// The shared_ptr-returning factories own everything they need (graph,
-/// index, arena, backing mmap), which is what lets the serving layer
+/// index, backing mmap), which is what lets the serving layer
 /// hot-swap whole engine versions by swapping one pointer.
 class CloudWalker {
  public:
@@ -84,11 +84,12 @@ class CloudWalker {
       Graph&& graph, const IndexingOptions& options = {},
       ThreadPool* pool = nullptr);
 
-  /// Opens a cloudwalker-snap-v1 artifact written by WriteSnapshot().
-  /// The CSR arrays, alias arena, and D-vector are consumed zero-copy out
-  /// of the mapping (the returned instance pins it), so opening costs one
-  /// integrity pass instead of an index rebuild — and answers are
-  /// bit-identical to the instance that wrote the snapshot.
+  /// Opens a snapshot artifact written by WriteSnapshot() (format 2, or
+  /// an unreordered format-1 file). The CSR arrays and D-vector are
+  /// consumed zero-copy out of the mapping (the returned instance pins
+  /// it), so opening costs one integrity pass instead of an index rebuild
+  /// — and answers are bit-identical to the instance that wrote the
+  /// snapshot.
   static StatusOr<std::shared_ptr<const CloudWalker>> Open(
       const std::string& path);
 
@@ -108,10 +109,11 @@ class CloudWalker {
       const std::string& path, const OutOfCoreOptions& options);
 
   /// Persists this instance as one self-contained snapshot artifact
-  /// (graph + arena + index + build metadata); reopen with Open().
+  /// (graph + index + build metadata); reopen with Open().
   /// Snapshot-backed instances mirror their source's format extensions
   /// (block index, target block bytes, permutation), so open-then-rewrite
-  /// is byte-stable across old and new formats alike.
+  /// of a format-2 file is byte-stable; a format-1 source is rewritten
+  /// as format 2.
   Status WriteSnapshot(const std::string& path) const;
 
   /// Renumbers the graph for walk locality (ooc/reorder.h) and persists
@@ -141,7 +143,7 @@ class CloudWalker {
   /// every shard count, so a sharded instance can transparently replace
   /// the single-node one anywhere — including behind QueryService, which
   /// preserves cache keys, dedup, deadlines, and cancellation unchanged.
-  /// The returned instance shares base's graph / index / arena / snapshot
+  /// The returned instance shares base's graph / index / snapshot
   /// (base itself may be released).
   static StatusOr<std::shared_ptr<const CloudWalker>> Shard(
       const std::shared_ptr<const CloudWalker>& base,
@@ -155,7 +157,7 @@ class CloudWalker {
   /// on global walker ids, never threads), so a parallel instance can
   /// transparently replace the single-threaded one anywhere — including
   /// behind QueryService (ServeOptions::walk_threads wires this up). The
-  /// returned instance shares base's graph / index / arena / snapshot.
+  /// returned instance shares base's graph / index / snapshot.
   static StatusOr<std::shared_ptr<const CloudWalker>> Parallelize(
       const std::shared_ptr<const CloudWalker>& base,
       const ParallelWalkOptions& options);
@@ -170,7 +172,7 @@ class CloudWalker {
   /// mid-query is recovered by deterministic superstep replay, and a
   /// worker lost past the retry budget surfaces as kUnavailable (never a
   /// partial answer, never cached). The returned instance shares base's
-  /// graph / index / arena / snapshot.
+  /// graph / index / snapshot.
   static StatusOr<std::shared_ptr<const CloudWalker>> Distribute(
       const std::shared_ptr<const CloudWalker>& base,
       const RemoteBackendOptions& options);
@@ -251,9 +253,12 @@ class CloudWalker {
   /// The graph being queried.
   const Graph& graph() const { return *graph_; }
 
-  /// The prebuilt batched-walk context (alias arena; DESIGN.md section 8)
-  /// every query of this instance runs through.
-  const WalkContext& walk_context() const { return *walk_context_; }
+  /// Source compatibility with the retired WalkContext (engine/walk.h):
+  /// an empty tag that every context-taking overload ignores.
+  const WalkContext& walk_context() const {
+    static constexpr WalkContext kRetired{};
+    return kRetired;
+  }
 
   /// The walk backend override installed by Shard(), or null when queries
   /// run the single-node batched kernel.
@@ -265,19 +270,10 @@ class CloudWalker {
  private:
   CloudWalker(const Graph* graph, DiagonalIndex index, IndexingStats stats,
               IndexingOptions options)
-      : CloudWalker(graph, std::move(index), stats, options,
-                    std::make_shared<const WalkContext>(*graph)) {}
-
-  // Snapshot path: the context wraps a prebuilt (possibly view-backed)
-  // arena instead of rebuilding one.
-  CloudWalker(const Graph* graph, DiagonalIndex index, IndexingStats stats,
-              IndexingOptions options,
-              std::shared_ptr<const WalkContext> context)
       : graph_(graph),
         index_(std::move(index)),
         stats_(std::move(stats)),
-        indexing_options_(options),
-        walk_context_(std::move(context)) {}
+        indexing_options_(options) {}
 
   Status ValidateQuery(NodeId node, const QueryOptions& options) const;
 
@@ -338,10 +334,8 @@ class CloudWalker {
   DiagonalIndex index_;
   IndexingStats stats_;
   IndexingOptions indexing_options_;
-  // Shared so copies of the facade reuse one arena (immutable after build).
-  std::shared_ptr<const WalkContext> walk_context_;
   // Walk backend override (Shard()); null runs the single-node kernel. The
-  // backend borrows graph_ / walk_context_, which this instance pins.
+  // backend borrows graph_, which this instance pins.
   std::shared_ptr<const WalkBackend> walk_backend_;
   // Ownership plumbing of the shared_ptr factories: the heap graph (owning
   // Build / FromIndex / Open) and the backing mapping (Open). Null when

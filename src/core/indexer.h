@@ -39,16 +39,12 @@ SparseVector RowFromWalkDistributions(const WalkDistributions& dists,
 /// Estimates the sparse row a_k for one node with R walkers. Row entries:
 /// a_k[j] = sum_t c^t û_{k,t}[j]^2, at most R(T+1)+1 non-zeros.
 /// `scratch_*` (optional) avoid per-call allocation; `steps` (optional)
-/// accumulates the number of walk steps taken. `context` (optional) routes
-/// the walks through the batched arena kernel — results are bit-identical
-/// with or without it (DESIGN.md section 8); pass one whenever several rows
-/// are built against the same graph.
+/// accumulates the number of walk steps taken.
 SparseVector BuildIndexRow(const Graph& graph, NodeId k,
                            const IndexingOptions& options,
                            WalkScratch* scratch_walk = nullptr,
                            SparseAccumulator* scratch_row = nullptr,
-                           uint64_t* steps = nullptr,
-                           const WalkContext* context = nullptr);
+                           uint64_t* steps = nullptr);
 
 /// All rows of A, estimated in parallel. rows[k] is BuildIndexRow(k).
 struct IndexRows {

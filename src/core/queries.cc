@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <span>
 
 #include "common/logging.h"
@@ -84,14 +83,13 @@ void ExactPushStep(const Graph& graph, const SparseVector& z,
 double SinglePairQuery(const Graph& graph, const DiagonalIndex& index,
                        NodeId i, NodeId j, const QueryOptions& options,
                        QueryStats* stats, const NodeOwnerFn* owner,
-                       const WalkContext* context, const CancelToken* cancel,
-                       const WalkBackend* backend) {
+                       const CancelToken* cancel, const WalkBackend* backend) {
   CW_CHECK_LT(i, graph.num_nodes());
   CW_CHECK_LT(j, graph.num_nodes());
   CW_CHECK_EQ(index.num_nodes(), graph.num_nodes());
   if (i == j) return 1.0;
 
-  const LocalWalkBackend local(graph, context, owner);
+  const LocalWalkBackend local(graph, owner);
   if (backend == nullptr) backend = &local;
   const WalkConfig cfg = WalkConfigFromQuery(index, options, cancel);
   WalkStats wi, wj;
@@ -157,13 +155,12 @@ double SinglePairQueryPaired(const Graph& graph, const DiagonalIndex& index,
 SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
                                NodeId q, const QueryOptions& options,
                                QueryStats* stats, const NodeOwnerFn* owner,
-                               const WalkContext* context,
                                const CancelToken* cancel,
                                const WalkBackend* backend) {
   CW_CHECK_LT(q, graph.num_nodes());
   CW_CHECK_EQ(index.num_nodes(), graph.num_nodes());
 
-  const LocalWalkBackend local(graph, context, owner);
+  const LocalWalkBackend local(graph, owner);
   if (backend == nullptr) backend = &local;
   const WalkConfig cfg = WalkConfigFromQuery(index, options, cancel);
   WalkStats wq;
@@ -214,12 +211,11 @@ SparseVector PersonalizedPageRankQuery(const Graph& graph,
                                        const QueryOptions& options,
                                        QueryStats* stats,
                                        const NodeOwnerFn* owner,
-                                       const WalkContext* context,
                                        const CancelToken* cancel,
                                        const WalkBackend* backend) {
   CW_CHECK_LT(q, graph.num_nodes());
   CW_CHECK_EQ(index.num_nodes(), graph.num_nodes());
-  const LocalWalkBackend local(graph, context, owner);
+  const LocalWalkBackend local(graph, owner);
   if (backend == nullptr) backend = &local;
   const WalkConfig cfg = WalkConfigFromQuery(index, options, cancel);
   PprParams params;
@@ -237,12 +233,11 @@ SparseVector PersonalizedPageRankQuery(const Graph& graph,
 SparseVector Node2VecVisitQuery(const Graph& graph, const DiagonalIndex& index,
                                 NodeId q, const QueryOptions& options,
                                 QueryStats* stats, const NodeOwnerFn* owner,
-                                const WalkContext* context,
                                 const CancelToken* cancel,
                                 const WalkBackend* backend) {
   CW_CHECK_LT(q, graph.num_nodes());
   CW_CHECK_EQ(index.num_nodes(), graph.num_nodes());
-  const LocalWalkBackend local(graph, context, owner);
+  const LocalWalkBackend local(graph, owner);
   if (backend == nullptr) backend = &local;
   const WalkConfig cfg = WalkConfigFromQuery(index, options, cancel);
   Node2VecParams params;
@@ -290,14 +285,9 @@ std::vector<ScoredNode> TopKFromSparse(const SparseVector& scores,
 std::vector<std::vector<ScoredNode>> AllPairsTopK(
     const Graph& graph, const DiagonalIndex& index,
     const QueryOptions& options, size_t k, ThreadPool* pool,
-    uint64_t* total_walk_steps, const WalkContext* context,
-    const CancelToken* cancel, const WalkBackend* backend) {
+    uint64_t* total_walk_steps, const CancelToken* cancel,
+    const WalkBackend* backend) {
   std::vector<std::vector<ScoredNode>> out(graph.num_nodes());
-  std::optional<WalkContext> local_context;
-  if (context == nullptr && backend == nullptr) {
-    local_context.emplace(graph);  // amortized over all sources
-    context = &*local_context;
-  }
   std::atomic<uint64_t> steps{0};
   ParallelFor(pool, 0, graph.num_nodes(), /*grain=*/0,
               [&](uint64_t begin, uint64_t end) {
@@ -308,7 +298,7 @@ std::vector<std::vector<ScoredNode>> AllPairsTopK(
                   const SparseVector scores =
                       SingleSourceQuery(graph, index, static_cast<NodeId>(q),
                                         options, &qs, /*owner=*/nullptr,
-                                        context, cancel, backend);
+                                        cancel, backend);
                   local_steps += qs.walk_steps;
                   out[q] = TopKFromSparse(scores, static_cast<NodeId>(q), k);
                 }

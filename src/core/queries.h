@@ -43,26 +43,20 @@ struct QueryStats {
 /// are intersected level by level, giving R'^2 effective walker pairings
 /// per level at O(T R') cost.
 ///
-/// `context` (optional, here and in SingleSourceQuery / AllPairsTopK)
-/// routes the walks through the batched arena kernel; results are
-/// bit-identical with or without it (DESIGN.md section 8). The CloudWalker
-/// facade always passes its prebuilt context.
-///
-/// `cancel` (optional, same three kernels) is the cooperative stop signal
+/// `cancel` (optional, here and in SingleSourceQuery / AllPairsTopK) is the cooperative stop signal
 /// threaded into the walk engine's level loop and the push phases; a
 /// stopped kernel returns early with a truncated (meaningless) value that
 /// the caller must discard after observing cancel->ShouldStop().
 ///
 /// `backend` (optional, every walk-running kernel) supplies the walk phase
 /// (engine/walk_backend.h) — e.g. the in-process sharded BSP engine. Null
-/// runs the single-node batched kernel over (graph, context, owner). The
+/// runs the single-node batched kernel over (graph, owner). The
 /// combine phases are shared, so any backend that reproduces the
 /// single-node walk distributions yields bit-identical query results.
 double SinglePairQuery(const Graph& graph, const DiagonalIndex& index,
                        NodeId i, NodeId j, const QueryOptions& options,
                        QueryStats* stats = nullptr,
                        const NodeOwnerFn* owner = nullptr,
-                       const WalkContext* context = nullptr,
                        const CancelToken* cancel = nullptr,
                        const WalkBackend* backend = nullptr);
 
@@ -82,7 +76,6 @@ SparseVector SingleSourceQuery(const Graph& graph, const DiagonalIndex& index,
                                NodeId q, const QueryOptions& options,
                                QueryStats* stats = nullptr,
                                const NodeOwnerFn* owner = nullptr,
-                               const WalkContext* context = nullptr,
                                const CancelToken* cancel = nullptr,
                                const WalkBackend* backend = nullptr);
 
@@ -111,7 +104,6 @@ SparseVector PersonalizedPageRankQuery(const Graph& graph,
                                        const QueryOptions& options,
                                        QueryStats* stats = nullptr,
                                        const NodeOwnerFn* owner = nullptr,
-                                       const WalkContext* context = nullptr,
                                        const CancelToken* cancel = nullptr,
                                        const WalkBackend* backend = nullptr);
 
@@ -126,22 +118,55 @@ SparseVector Node2VecVisitQuery(const Graph& graph,
                                 const QueryOptions& options,
                                 QueryStats* stats = nullptr,
                                 const NodeOwnerFn* owner = nullptr,
-                                const WalkContext* context = nullptr,
                                 const CancelToken* cancel = nullptr,
                                 const WalkBackend* backend = nullptr);
 
 /// MCAP: runs MCSS from every node (parallel across sources) and keeps the
 /// top-k similar nodes per source. O(n T^2 R') — the n x n result is never
 /// materialized. `total_walk_steps` (optional) accumulates walk counters.
-/// Builds a WalkContext internally when none is supplied (amortized over
-/// all sources).
 std::vector<std::vector<ScoredNode>> AllPairsTopK(
     const Graph& graph, const DiagonalIndex& index,
     const QueryOptions& options, size_t k, ThreadPool* pool,
     uint64_t* total_walk_steps = nullptr,
-    const WalkContext* context = nullptr,
     const CancelToken* cancel = nullptr,
     const WalkBackend* backend = nullptr);
+
+// Source compatibility with the retired WalkContext (engine/walk.h): the
+// pre-removal signatures of the four walk kernels, which took a context
+// between `owner` and `cancel`. The context is ignored.
+inline double SinglePairQuery(const Graph& graph, const DiagonalIndex& index,
+                              NodeId i, NodeId j, const QueryOptions& options,
+                              QueryStats* stats, const NodeOwnerFn* owner,
+                              const WalkContext* /*ignored*/,
+                              const CancelToken* cancel,
+                              const WalkBackend* backend) {
+  return SinglePairQuery(graph, index, i, j, options, stats, owner, cancel,
+                         backend);
+}
+inline SparseVector SingleSourceQuery(
+    const Graph& graph, const DiagonalIndex& index, NodeId q,
+    const QueryOptions& options, QueryStats* stats, const NodeOwnerFn* owner,
+    const WalkContext* /*ignored*/, const CancelToken* cancel,
+    const WalkBackend* backend) {
+  return SingleSourceQuery(graph, index, q, options, stats, owner, cancel,
+                           backend);
+}
+inline SparseVector PersonalizedPageRankQuery(
+    const Graph& graph, const DiagonalIndex& index, NodeId q,
+    const QueryOptions& options, QueryStats* stats, const NodeOwnerFn* owner,
+    const WalkContext* /*ignored*/, const CancelToken* cancel,
+    const WalkBackend* backend) {
+  return PersonalizedPageRankQuery(graph, index, q, options, stats, owner,
+                                   cancel, backend);
+}
+inline SparseVector Node2VecVisitQuery(
+    const Graph& graph, const DiagonalIndex& index, NodeId q,
+    const QueryOptions& options, QueryStats* stats, const NodeOwnerFn* owner,
+    const WalkContext* /*ignored*/, const CancelToken* cancel,
+    const WalkBackend* backend) {
+  return Node2VecVisitQuery(graph, index, q, options, stats, owner, cancel,
+                            backend);
+}
 
 }  // namespace cloudwalker
 

@@ -1,57 +1,8 @@
 #include "engine/alias.h"
 
-#include <cmath>
-#include <string>
 #include <vector>
 
 namespace cloudwalker {
-namespace {
-
-/// Fills `row` (length deg) with the alias decomposition of `scaled`, the
-/// row's weights scaled to mean 1. Slot k's accepted outcome is the row's
-/// k-th target (resolved through the CSR by the caller), so only the
-/// threshold and the alias target node are stored.
-void BuildAliasRow(const Graph& graph, NodeId v, std::vector<double>& scaled,
-                   std::vector<uint32_t>& small, std::vector<uint32_t>& large,
-                   AliasSlot* row) {
-  const uint32_t deg = static_cast<uint32_t>(scaled.size());
-  small.clear();
-  large.clear();
-  for (uint32_t k = 0; k < deg; ++k) {
-    (scaled[k] < 1.0 ? small : large).push_back(k);
-  }
-  while (!small.empty() && !large.empty()) {
-    const uint32_t s = small.back();
-    small.pop_back();
-    const uint32_t l = large.back();
-    // Fixed-point threshold, clamped so a probability that rounds to 2^32
-    // cannot wrap to "never accept". llround: the value exceeds a 32-bit
-    // long.
-    const double accept = scaled[s] * 4294967296.0;
-    row[s].accept = accept >= 4294967295.0
-                        ? 0xffffffffu
-                        : static_cast<uint32_t>(std::llround(accept));
-    row[s].alias = graph.InNeighbor(v, l);
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  // Residual slots keep probability 1 (floating-point leftovers). accept ==
-  // 0 with alias == the slot's own target encodes "always this target"
-  // without a CSR lookup — the same degenerate form uniform rows use.
-  for (const uint32_t k : small) {
-    row[k].accept = 0;
-    row[k].alias = graph.InNeighbor(v, k);
-  }
-  for (const uint32_t k : large) {
-    row[k].accept = 0;
-    row[k].alias = graph.InNeighbor(v, k);
-  }
-}
-
-}  // namespace
 
 StatusOr<AliasTable> AliasTable::Build(const std::vector<double>& weights) {
   if (weights.empty()) {
@@ -98,74 +49,6 @@ StatusOr<AliasTable> AliasTable::Build(const std::vector<double>& weights) {
   for (uint32_t s : small) table.prob_[s] = 1.0;
   for (uint32_t l : large) table.prob_[l] = 1.0;
   return table;
-}
-
-AliasArena AliasArena::FromViews(std::span<const uint64_t> offsets,
-                                 std::span<const AliasSlot> slots) {
-  AliasArena arena;
-  arena.offsets_v_ = offsets;
-  arena.slots_v_ = slots;
-  return arena;
-}
-
-AliasArena AliasArena::BuildInLink(const Graph& graph) {
-  const NodeId n = graph.num_nodes();
-  AliasArena arena;
-  arena.offsets_.resize(static_cast<size_t>(n) + 1);
-  arena.offsets_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    arena.offsets_[v + 1] = arena.offsets_[v] + graph.InDegree(v);
-  }
-  arena.slots_.resize(arena.offsets_[n]);
-  for (NodeId v = 0; v < n; ++v) {
-    AliasSlot* row = arena.slots_.data() + arena.offsets_[v];
-    const auto in = graph.InNeighbors(v);
-    for (uint32_t k = 0; k < in.size(); ++k) {
-      row[k] = AliasSlot{/*accept=*/0, /*alias=*/in[k]};
-    }
-  }
-  arena.AdoptOwnedStorage();
-  return arena;
-}
-
-StatusOr<AliasArena> AliasArena::BuildInLinkWeighted(
-    const Graph& graph,
-    const std::function<double(NodeId v, uint32_t k)>& weight) {
-  const NodeId n = graph.num_nodes();
-  AliasArena arena;
-  arena.offsets_.resize(static_cast<size_t>(n) + 1);
-  arena.offsets_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    arena.offsets_[v + 1] = arena.offsets_[v] + graph.InDegree(v);
-  }
-  arena.slots_.resize(arena.offsets_[n]);
-
-  std::vector<double> scaled;
-  std::vector<uint32_t> small, large;
-  for (NodeId v = 0; v < n; ++v) {
-    const uint32_t deg = graph.InDegree(v);
-    if (deg == 0) continue;
-    scaled.resize(deg);
-    double sum = 0.0;
-    for (uint32_t k = 0; k < deg; ++k) {
-      const double w = weight(v, k);
-      if (!(w >= 0.0)) {  // rejects negatives and NaN in one comparison
-        return Status::InvalidArgument(
-            "negative or NaN in-edge weight at node " + std::to_string(v));
-      }
-      scaled[k] = w;
-      sum += w;
-    }
-    if (sum <= 0.0) {
-      return Status::InvalidArgument("in-edge weights of node " +
-                                     std::to_string(v) + " sum to zero");
-    }
-    for (uint32_t k = 0; k < deg; ++k) scaled[k] *= deg / sum;
-    BuildAliasRow(graph, v, scaled, small, large,
-                  arena.slots_.data() + arena.offsets_[v]);
-  }
-  arena.AdoptOwnedStorage();
-  return arena;
 }
 
 }  // namespace cloudwalker

@@ -1,40 +1,20 @@
 // Walker's alias method: O(1) sampling from an arbitrary discrete
-// distribution after O(n) preprocessing.
-//
-// Two layouts live here:
-//   AliasTable — one table per distribution (used by generators and ad-hoc
-//                weighted sampling).
-//   AliasArena — every per-node table of a graph flattened into a single
-//                contiguous arena (one offsets array + one packed 8-byte
-//                prob/alias slot array), the layout the batched walk kernel
-//                streams through with software prefetch (DESIGN.md
-//                section 8).
+// distribution after O(n) preprocessing, for ad-hoc weighted sampling.
+// The walk engine needs no alias tables: a reverse walk step is uniform
+// over In(v) and picks straight from the CSR (engine/walk_kernel.h,
+// DESIGN.md section 8).
 
 #ifndef CLOUDWALKER_ENGINE_ALIAS_H_
 #define CLOUDWALKER_ENGINE_ALIAS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
-#include "graph/graph.h"
 
 namespace cloudwalker {
-
-/// Issues a read prefetch for the cache line holding `addr` (no-op on
-/// compilers without the builtin). The batched walk kernel uses this to
-/// overlap the arena lookups of a whole walker block.
-inline void PrefetchRead(const void* addr) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
-#else
-  (void)addr;
-#endif
-}
 
 /// Immutable alias table over outcomes [0, n).
 class AliasTable {
@@ -56,161 +36,6 @@ class AliasTable {
   AliasTable() = default;
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
-};
-
-/// One packed slot of an AliasArena row — 8 bytes, eight per cache line.
-/// `accept` is a fixed-point acceptance threshold in [0, 2^32): a 32-bit
-/// draw u resolves the slot to its own CSR target when u < accept and to
-/// `alias` (a node id, not a slot index) otherwise. Uniform rows store
-/// accept == 0 with alias mirroring the slot's own target, so resolving a
-/// uniform draw touches only arena memory — never a second CSR lookup.
-struct AliasSlot {
-  uint32_t accept = 0;
-  NodeId alias = kInvalidNode;
-};
-static_assert(sizeof(AliasSlot) == 8, "arena slots must pack to 8 bytes");
-
-/// All per-node alias tables of a graph's in-link distributions, flattened
-/// into one contiguous arena indexed exactly like the CSR in-adjacency:
-/// row v spans slots [offset(v), offset(v+1)). Immutable and thread-safe
-/// after construction. Row v is the distribution of one reverse walk step
-/// from v — i.e. column v of SimRank's transition matrix P.
-///
-/// Storage is span-backed: a built arena reads its own heap vectors, while
-/// FromViews wraps externally owned flat arrays (an mmapped snapshot,
-/// DESIGN.md section 9) zero-copy — the walk kernel streams both through
-/// the same accessors. Copies always materialize into owned storage; moves
-/// are cheap and preserve the mode.
-class AliasArena {
- public:
-  AliasArena() { AdoptOwnedStorage(); }
-
-  AliasArena(const AliasArena& other) { CopyFrom(other); }
-  AliasArena& operator=(const AliasArena& other) {
-    if (this != &other) CopyFrom(other);
-    return *this;
-  }
-  // Vector moves keep the heap buffers in place, so the spans stay valid.
-  AliasArena(AliasArena&&) noexcept = default;
-  AliasArena& operator=(AliasArena&&) noexcept = default;
-
-  /// Wraps externally owned arena arrays without copying. `offsets` must
-  /// have num_rows + 1 entries starting at 0 and ending at slots.size();
-  /// the caller keeps ownership and the arrays must outlive the arena and
-  /// every move of it.
-  static AliasArena FromViews(std::span<const uint64_t> offsets,
-                              std::span<const AliasSlot> slots);
-
-  /// False when the arrays alias external memory (FromViews).
-  bool owns_storage() const { return offsets_v_.data() == offsets_.data(); }
-
-  /// Owning counterpart of FromViews: adopts prebuilt flat arrays. Same
-  /// invariants as FromViews; the reorder layer uses this to materialize
-  /// an external-rank arena at snapshot-open time (DESIGN.md section 14).
-  static AliasArena FromParts(std::vector<uint64_t> offsets,
-                              std::vector<AliasSlot> slots) {
-    AliasArena arena;
-    arena.offsets_ = std::move(offsets);
-    arena.slots_ = std::move(slots);
-    arena.AdoptOwnedStorage();
-    return arena;
-  }
-
-  /// Flattens the uniform in-link distributions of `graph` (every in-edge
-  /// of v equally likely). O(|E|) time, 8 bytes per edge + 8 per node.
-  static AliasArena BuildInLink(const Graph& graph);
-
-  /// Weighted variant: `weight(v, k)` is the weight of v's k-th in-edge.
-  /// Rows whose weights are all zero or negative fail the build.
-  static StatusOr<AliasArena> BuildInLinkWeighted(
-      const Graph& graph,
-      const std::function<double(NodeId v, uint32_t k)>& weight);
-
-  /// Number of rows (== nodes of the source graph).
-  NodeId num_rows() const {
-    return offsets_v_.empty() ? 0
-                              : static_cast<NodeId>(offsets_v_.size() - 1);
-  }
-
-  /// Total slots (== edges of the source graph).
-  uint64_t num_slots() const { return slots_v_.size(); }
-
-  /// First slot of row v.
-  uint64_t RowOffset(NodeId v) const { return offsets_v_[v]; }
-
-  /// Slot count of row v (== InDegree(v)).
-  uint32_t RowDegree(NodeId v) const {
-    return static_cast<uint32_t>(offsets_v_[v + 1] - offsets_v_[v]);
-  }
-
-  /// The packed slots of row v.
-  std::span<const AliasSlot> Row(NodeId v) const {
-    return {slots_v_.data() + offsets_v_[v],
-            slots_v_.data() + offsets_v_[v + 1]};
-  }
-
-  /// The raw flat arrays (the snapshot writer streams these verbatim).
-  std::span<const uint64_t> Offsets() const { return offsets_v_; }
-  std::span<const AliasSlot> Slots() const { return slots_v_; }
-
-  /// Raw slot access by arena-global index (for prefetch-then-resolve
-  /// pipelines that computed the index in an earlier pass).
-  const AliasSlot& slot(uint64_t global_index) const {
-    return slots_v_[global_index];
-  }
-
-  /// Prefetches the offsets entry of row v / one packed slot.
-  void PrefetchOffsets(NodeId v) const { PrefetchRead(&offsets_v_[v]); }
-  void PrefetchSlot(uint64_t global_index) const {
-    PrefetchRead(&slots_v_[global_index]);
-  }
-
-  /// Picks the slot of row v addressed by the upper 32 bits of `raw` and
-  /// resolves it with the lower 32 (fixed randomness consumption, no
-  /// rejection). Returns the sampled in-neighbor of v, or kInvalidNode for
-  /// an empty row. `graph` supplies the accepted slot's own target and must
-  /// be the graph this arena was built from.
-  NodeId Sample(const Graph& graph, NodeId v, uint64_t raw) const {
-    const uint32_t deg = RowDegree(v);
-    if (deg == 0) return kInvalidNode;
-    const uint32_t slot_index = PickSlot(raw, deg);
-    const AliasSlot s = slots_v_[offsets_v_[v] + slot_index];
-    return static_cast<uint32_t>(raw) < s.accept
-               ? graph.InNeighbor(v, slot_index)
-               : s.alias;
-  }
-
-  /// Maps the upper 32 bits of `raw` onto [0, degree) by multiply-shift.
-  /// Shared with the walk kernel so the arena and CSR sampling paths
-  /// consume randomness identically.
-  static uint32_t PickSlot(uint64_t raw, uint32_t degree) {
-    return static_cast<uint32_t>(((raw >> 32) * degree) >> 32);
-  }
-
-  /// Resident bytes of the offsets and slot arrays.
-  uint64_t MemoryBytes() const {
-    return offsets_v_.size() * sizeof(uint64_t) +
-           slots_v_.size() * sizeof(AliasSlot);
-  }
-
- private:
-  // Re-points the views at this instance's owned vectors.
-  void AdoptOwnedStorage() {
-    offsets_v_ = offsets_;
-    slots_v_ = slots_;
-  }
-  void CopyFrom(const AliasArena& other) {
-    offsets_.assign(other.offsets_v_.begin(), other.offsets_v_.end());
-    slots_.assign(other.slots_v_.begin(), other.slots_v_.end());
-    AdoptOwnedStorage();
-  }
-
-  // Owned backing (empty in view mode).
-  std::vector<uint64_t> offsets_;  // size num_rows + 1 (CSR in_offsets twin)
-  std::vector<AliasSlot> slots_;   // packed rows, 8 bytes per in-edge
-  // What the accessors read: the owned vectors or external flat arrays.
-  std::span<const uint64_t> offsets_v_;
-  std::span<const AliasSlot> slots_v_;
 };
 
 }  // namespace cloudwalker

@@ -38,16 +38,16 @@ struct alignas(kCacheLineBytes) RangeResult {
 };
 
 // First-touch warm-up, run by each range task on its worker thread before
-// the kernel: pulls the source row's offsets and leading slot lines into
+// the kernel: pulls the source row's offsets and leading target lines into
 // the worker's cache so the first blocks of every range don't all stall on
 // the same cold lines.
-void WarmArena(const AliasArena* arena, NodeId source) {
-  if (arena == nullptr) return;
-  arena->PrefetchOffsets(source);
-  const uint64_t off = arena->RowOffset(source);
-  const uint32_t lines = std::min<uint32_t>(arena->RowDegree(source), 64);
-  // 8 packed slots per cache line.
-  for (uint32_t k = 0; k < lines; k += 8) arena->PrefetchSlot(off + k);
+void WarmRow(const Graph& graph, NodeId source) {
+  const uint64_t* offsets = graph.InOffsets().data();
+  PrefetchRead(&offsets[source]);
+  const NodeId* row = graph.InTargets().data() + offsets[source];
+  // The first 8 cache lines of the row, 16 targets per line.
+  const uint32_t warm = std::min<uint32_t>(graph.InDegree(source), 128);
+  for (uint32_t k = 0; k < warm; k += 16) PrefetchRead(row + k);
 }
 
 void AccumulateStats(const std::vector<RangeResult>& results,
@@ -63,7 +63,6 @@ void AccumulateStats(const std::vector<RangeResult>& results,
 
 StatusOr<std::shared_ptr<const ParallelWalkExecutor>>
 ParallelWalkExecutor::Build(const Graph& graph,
-                            const WalkContext* context_or_null,
                             const ParallelWalkOptions& options) {
   if (options.num_threads < 0) {
     return Status::InvalidArgument(
@@ -81,15 +80,14 @@ ParallelWalkExecutor::Build(const Graph& graph,
     threads = std::max(1, static_cast<int>(
                               std::thread::hardware_concurrency()));
   }
-  return std::shared_ptr<const ParallelWalkExecutor>(new ParallelWalkExecutor(
-      graph, context_or_null, options, threads));
+  return std::shared_ptr<const ParallelWalkExecutor>(
+      new ParallelWalkExecutor(graph, options, threads));
 }
 
-ParallelWalkExecutor::ParallelWalkExecutor(
-    const Graph& graph, const WalkContext* context_or_null,
-    const ParallelWalkOptions& options, int num_threads)
+ParallelWalkExecutor::ParallelWalkExecutor(const Graph& graph,
+                                           const ParallelWalkOptions& options,
+                                           int num_threads)
     : graph_(&graph),
-      context_(context_or_null),
       options_(options),
       id_bits_(WalkKernel::IdBits(graph)),
       num_threads_(num_threads),
@@ -118,12 +116,10 @@ WalkDistributions ParallelWalkExecutor::SimRankLevels(
     NodeId source, const WalkConfig& config, WalkStats* stats) const {
   const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
   if (ranges.size() <= 1) {
-    return SimulateWalkDistributions(*graph_, context_, source, config,
+    return SimulateWalkDistributions(*graph_, source, config,
                                      /*scratch=*/nullptr, /*owner=*/nullptr,
                                      stats);
   }
-  const AliasArena* arena =
-      context_ != nullptr ? &context_->arena() : nullptr;
   std::vector<RangeResult> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
@@ -137,8 +133,8 @@ WalkDistributions ParallelWalkExecutor::SimRankLevels(
           program.walker_offset = ranges[i].begin;
           program.raw = &res.raw;
           WalkWorkerState state;
-          WarmArena(arena, source);
-          WalkKernel::Run(*graph_, arena, source, sub, &state.scratch,
+          WarmRow(*graph_, source);
+          WalkKernel::Run(*graph_, source, sub, &state.scratch,
                           /*owner=*/nullptr, &res.stats, program);
         }
       });
@@ -172,12 +168,10 @@ SparseVector ParallelWalkExecutor::PprEndpoints(NodeId source,
   CW_CHECK_LT(params.alpha, 1.0);
   const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
   if (ranges.size() <= 1) {
-    return SimulatePprEndpoints(*graph_, context_, source, config, params,
+    return SimulatePprEndpoints(*graph_, source, config, params,
                                 /*scratch=*/nullptr, /*owner=*/nullptr,
                                 stats);
   }
-  const AliasArena* arena =
-      context_ != nullptr ? &context_->arena() : nullptr;
   std::vector<RangeResult> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
@@ -190,8 +184,8 @@ SparseVector ParallelWalkExecutor::PprEndpoints(NodeId source,
           program.alpha = params.alpha;
           program.walker_offset = ranges[i].begin;
           WalkWorkerState state;
-          WarmArena(arena, source);
-          WalkKernel::Run(*graph_, arena, source, sub, &state.scratch,
+          WarmRow(*graph_, source);
+          WalkKernel::Run(*graph_, source, sub, &state.scratch,
                           /*owner=*/nullptr, &res.stats, program);
           res.terminals = std::move(program.terminals);
         }
@@ -212,12 +206,10 @@ WalkDistributions ParallelWalkExecutor::Node2VecLevels(
     WalkStats* stats) const {
   const std::vector<WalkerRange> ranges = SplitWalkers(config.num_walkers);
   if (ranges.size() <= 1) {
-    return SimulateNode2VecVisits(*graph_, context_, source, config, params,
+    return SimulateNode2VecVisits(*graph_, source, config, params,
                                   /*scratch=*/nullptr, /*owner=*/nullptr,
                                   stats);
   }
-  const AliasArena* arena =
-      context_ != nullptr ? &context_->arena() : nullptr;
   std::vector<RangeResult> results(ranges.size());
   ParallelFor(
       pool_.get(), 0, ranges.size(), /*grain=*/1,
@@ -229,13 +221,12 @@ WalkDistributions ParallelWalkExecutor::Node2VecLevels(
           sub.num_walkers = ranges[i].end - ranges[i].begin;
           RawNode2VecProgram program;
           program.graph = graph_;
-          program.arena = arena;
           program.Configure(params);
           program.walker_offset = ranges[i].begin;
           program.raw = &res.raw;
           WalkWorkerState state;
-          WarmArena(arena, source);
-          WalkKernel::Run(*graph_, arena, source, sub, &state.scratch,
+          WarmRow(*graph_, source);
+          WalkKernel::Run(*graph_, source, sub, &state.scratch,
                           /*owner=*/nullptr, &res.stats, program);
         }
       });

@@ -43,15 +43,13 @@ struct ParallelWalkOptions {
   uint32_t min_walkers_per_range = 256;
 };
 
-/// Multi-threaded WalkBackend over one graph / arena. Borrows `graph` and
-/// `context_or_null` (both must outlive the executor); owns its thread
-/// pool. Results are bit-identical to LocalWalkBackend for every thread
+/// Multi-threaded WalkBackend over one graph. Borrows `graph` (it must
+/// outlive the executor); owns its thread pool. Results are bit-identical to LocalWalkBackend for every thread
 /// count and every option setting.
 class ParallelWalkExecutor final : public WalkBackend {
  public:
   static StatusOr<std::shared_ptr<const ParallelWalkExecutor>> Build(
-      const Graph& graph, const WalkContext* context_or_null,
-      const ParallelWalkOptions& options = {});
+      const Graph& graph, const ParallelWalkOptions& options = {});
 
   /// Resolved worker count (>= 1).
   int num_threads() const { return num_threads_; }
@@ -74,8 +72,8 @@ class ParallelWalkExecutor final : public WalkBackend {
     uint32_t end = 0;
   };
 
-  ParallelWalkExecutor(const Graph& graph, const WalkContext* context_or_null,
-                       const ParallelWalkOptions& options, int num_threads);
+  ParallelWalkExecutor(const Graph& graph, const ParallelWalkOptions& options,
+                       int num_threads);
 
   /// Partitions [0, num_walkers) into ranges honoring
   /// min_walkers_per_range; a single range means "run serially". The split
@@ -83,7 +81,6 @@ class ParallelWalkExecutor final : public WalkBackend {
   std::vector<WalkerRange> SplitWalkers(uint32_t num_walkers) const;
 
   const Graph* graph_;
-  const WalkContext* context_;
   ParallelWalkOptions options_;
   uint32_t id_bits_;
   int num_threads_;

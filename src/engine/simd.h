@@ -1,20 +1,19 @@
-// Runtime-dispatched SIMD kernels for the two hottest loops of the walk
-// engine (DESIGN.md section 12): run-length encoding a sorted endpoint
-// array into an empirical distribution, and resolving a batch of
-// prefetched alias slots to next-node ids.
+// Runtime-dispatched SIMD kernel for the walk engine's aggregation loop
+// (DESIGN.md section 12): run-length encoding a sorted endpoint array into
+// an empirical distribution.
 //
-// Each kernel exists in two element-for-element identical variants: a
+// The kernel exists in two element-for-element identical variants: a
 // portable scalar reference and an AVX2 implementation compiled with a
 // per-function target attribute (no special translation-unit flags). The
-// unsuffixed entry points dispatch once, at first call, on
+// unsuffixed entry point dispatches once, at first call, on
 // __builtin_cpu_supports("avx2"); on non-x86 builds (or hosts without
-// AVX2) they are the scalar variant. Both variants are always linked so
+// AVX2) it is the scalar variant. Both variants are always linked so
 // tests can assert exact equality between them on any host that has AVX2.
 //
-// Bit-identity: the AVX2 paths perform the same integer comparisons and
+// Bit-identity: the AVX2 path performs the same integer comparisons and
 // the same double multiplications as the scalar code — no reassociation,
 // no FMA contraction — so swapping variants can never change a query
-// answer. tests/engine/simd_test.cc sweeps both kernels (including every
+// answer. tests/engine/simd_test.cc sweeps both variants (including every
 // remainder-lane count) and fails on the first differing element.
 
 #ifndef CLOUDWALKER_ENGINE_SIMD_H_
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "common/sparse.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -33,7 +31,7 @@ namespace simd {
 /// True when the host executes AVX2 (cached after the first call).
 bool HaveAvx2();
 
-/// "avx2" or "scalar" — what the dispatched entry points run. For bench
+/// "avx2" or "scalar" — what the dispatched entry point runs. For bench
 /// context and logs.
 const char* ActiveLevel();
 
@@ -49,30 +47,6 @@ void AggregateSortedRunsScalar(const NodeId* data, uint32_t n, double inv_r,
 /// Callable on any host that HaveAvx2() reports true.
 void AggregateSortedRunsAvx2(const NodeId* data, uint32_t n, double inv_r,
                              std::vector<SparseEntry>* entries);
-
-/// Resolves a batch of alias-slot draws — the walk kernel's pass-3 loop.
-/// For each j in [0, n):
-///   slot = slots[global[j]]
-///   out[j] = accept[j] < slot.accept
-///                ? in_targets[in_offsets[prev[j]] + slot_index[j]]
-///                : slot.alias
-/// `slots` is the arena's flat slot array, `in_offsets` / `in_targets`
-/// the graph's in-CSR (the accepted branch is InNeighbor(prev, slot)).
-void ResolveAliasBatch(const AliasSlot* slots, const uint64_t* global,
-                       const uint32_t* accept, const uint32_t* slot_index,
-                       const NodeId* prev, const uint64_t* in_offsets,
-                       const NodeId* in_targets, uint32_t n, NodeId* out);
-void ResolveAliasBatchScalar(const AliasSlot* slots, const uint64_t* global,
-                             const uint32_t* accept,
-                             const uint32_t* slot_index, const NodeId* prev,
-                             const uint64_t* in_offsets,
-                             const NodeId* in_targets, uint32_t n,
-                             NodeId* out);
-/// AVX2 (gather-based) variant; scalar fallback off x86.
-void ResolveAliasBatchAvx2(const AliasSlot* slots, const uint64_t* global,
-                           const uint32_t* accept, const uint32_t* slot_index,
-                           const NodeId* prev, const uint64_t* in_offsets,
-                           const NodeId* in_targets, uint32_t n, NodeId* out);
 
 }  // namespace simd
 }  // namespace cloudwalker

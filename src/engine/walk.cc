@@ -21,43 +21,21 @@ WalkDistributions SimulateWalkDistributions(const Graph& graph, NodeId source,
   WalkDistributions out;
   internal::SimRankEndpointsProgram program;
   program.out = &out;
-  WalkKernel::Run(graph, /*arena=*/nullptr, source, config, scratch, owner,
-                  stats, program);
-  return out;
-}
-
-WalkDistributions SimulateWalkDistributions(const WalkContext& context,
-                                            NodeId source,
-                                            const WalkConfig& config,
-                                            WalkScratch* scratch,
-                                            const NodeOwnerFn* owner,
-                                            WalkStats* stats) {
-  WalkDistributions out;
-  internal::SimRankEndpointsProgram program;
-  program.out = &out;
-  WalkKernel::Run(context.graph(), &context.arena(), source, config, scratch,
-                  owner, stats, program);
+  WalkKernel::Run(graph, source, config, scratch, owner, stats, program);
   return out;
 }
 
 void SimulateAllSources(
     const Graph& graph, const WalkConfig& config, ThreadPool* pool,
     const std::function<void(NodeId, const WalkDistributions&)>& consume) {
-  const WalkContext context(graph);
-  SimulateAllSources(context, config, pool, consume);
-}
-
-void SimulateAllSources(
-    const WalkContext& context, const WalkConfig& config, ThreadPool* pool,
-    const std::function<void(NodeId, const WalkDistributions&)>& consume) {
-  const uint64_t n = context.graph().num_nodes();
+  const uint64_t n = graph.num_nodes();
   ParallelFor(pool, 0, n, /*grain=*/0,
-              [&context, &config, &consume](uint64_t begin, uint64_t end) {
+              [&graph, &config, &consume](uint64_t begin, uint64_t end) {
                 WalkWorkerState state;  // padded; one per chunk, never shared
                 for (uint64_t s = begin; s < end; ++s) {
                   const NodeId source = static_cast<NodeId>(s);
                   const WalkDistributions dists = SimulateWalkDistributions(
-                      context, source, config, &state.scratch);
+                      graph, source, config, &state.scratch);
                   consume(source, dists);
                 }
               });

@@ -7,9 +7,9 @@
 // (mass loss is part of the definition; see DanglingPolicy).
 //
 // The kernel advances all walkers of a source level-synchronously in blocks
-// of `WalkConfig::batch_width`, streaming a flattened alias arena
-// (engine/alias.h) with software prefetch when a WalkContext is supplied
-// (DESIGN.md section 8).
+// of `WalkConfig::batch_width`, picking each step straight from the CSR
+// in-adjacency with software prefetch across the block (DESIGN.md
+// section 8).
 //
 // SimRank's endpoint-per-level walk is the first *walk program* of the
 // shared engine (DESIGN.md section 10): the per-step policy lives in a
@@ -19,8 +19,7 @@
 //
 // Determinism: every draw is the stateless CounterRandom of
 // (DeriveSeed(config.seed, source), walker, step), so results are
-// bit-identical across thread counts, batch widths, and the arena /
-// plain-CSR code paths.
+// bit-identical across thread counts and batch widths.
 
 #ifndef CLOUDWALKER_ENGINE_WALK_H_
 #define CLOUDWALKER_ENGINE_WALK_H_
@@ -28,14 +27,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/random.h"
 #include "common/sparse.h"
 #include "common/threading.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
@@ -78,13 +76,28 @@ struct WalkConfig {
   /// with the remaining levels empty, and the caller is expected to
   /// discard the truncated result (see common/cancel.h).
   const CancelToken* cancel = nullptr;
-  /// Node id the per-source RNG key is derived from; kInvalidNode (the
-  /// default) keys on the walk's actual source. A locality-reordered
-  /// snapshot (DESIGN.md section 14) sets this to the source's *external*
-  /// id so the draw streams — and therefore the walk distributions, after
-  /// id translation — are identical to the unreordered artifact's.
-  NodeId rng_node = kInvalidNode;
+  /// Internal id -> external id of a locality-reordered graph (DESIGN.md
+  /// section 14); empty (the default) when ids are not reordered. Walks
+  /// key their per-source RNG on the source's external id, and such a
+  /// graph stores every in-row in ascending external-id order, so the
+  /// walk distributions — after id translation — are identical to the
+  /// unreordered artifact's. Borrowed; must outlive the walk.
+  std::span<const NodeId> external_ids = {};
 };
+
+/// The node a walk from `source` keys its RNG on: the source's external id
+/// on a locality-reordered graph, the source itself otherwise.
+inline NodeId RngNode(const WalkConfig& config, NodeId source) {
+  return config.external_ids.empty() ? source : config.external_ids[source];
+}
+
+/// Maps the upper 32 bits of `raw` onto [0, degree) by multiply-shift: the
+/// in-row slot of a uniform reverse step. Every backend picks
+/// InNeighbor(v, PickSlot(raw, InDegree(v))), which is what makes their
+/// draws — and answers — identical.
+inline uint32_t PickSlot(uint64_t raw, uint32_t degree) {
+  return static_cast<uint32_t>(((raw >> 32) * degree) >> 32);
+}
 
 /// Advances one walker one step along in-links. Returns kInvalidNode when
 /// the walker dies (dangling node under kDie policy).
@@ -121,31 +134,13 @@ struct WalkStats {
   uint64_t partition_crossings = 0;
 };
 
-/// Prebuilt per-graph acceleration state for the batched kernel: the
-/// flattened alias arena over the graph's in-link distributions. Build once
-/// per graph (O(|E|)), then share freely — immutable and thread-safe.
-/// Borrows `graph`, which must outlive the context.
-class WalkContext {
- public:
-  explicit WalkContext(const Graph& graph)
-      : graph_(&graph), arena_(AliasArena::BuildInLink(graph)) {}
-
-  /// Wraps a prebuilt arena (e.g. an AliasArena::FromViews over an mmapped
-  /// snapshot, DESIGN.md section 9) instead of rebuilding it. The arena
-  /// must describe `graph`'s in-adjacency exactly.
-  WalkContext(const Graph& graph, AliasArena arena)
-      : graph_(&graph), arena_(std::move(arena)) {}
-
-  const Graph& graph() const { return *graph_; }
-  const AliasArena& arena() const { return arena_; }
-
-  /// Resident bytes of the arena.
-  uint64_t MemoryBytes() const { return arena_.MemoryBytes(); }
-
- private:
-  const Graph* graph_;
-  AliasArena arena_;
-};
+/// Retired: the prebuilt alias arena this type carried is gone — the kernel
+/// picks straight from the CSR. The empty tag remains only so callers
+/// written against CloudWalker::walk_context() and the context-taking
+/// LocalWalkBackend / query-kernel overloads (the benchmark harness in
+/// perfbench/ among them) still compile; every overload that takes one
+/// ignores it. Delete it with those overloads once no caller is left.
+struct WalkContext {};
 
 /// Reusable per-worker scratch of the walk kernel: the struct-of-arrays
 /// walker cursors and the per-level endpoint radix-sort buffers. Opaque —
@@ -182,48 +177,19 @@ static_assert(sizeof(WalkWorkerState) % kCacheLineBytes == 0);
 /// Simulates `config.num_walkers` reverse walks from `source` and returns
 /// the empirical distribution at every step. `scratch` (optional) avoids
 /// reallocation across calls on the same thread. `owner` (optional) enables
-/// partition-crossing accounting into `stats`. Walks over the plain CSR;
-/// identical results to the WalkContext overload, which is faster.
+/// partition-crossing accounting into `stats`.
 WalkDistributions SimulateWalkDistributions(const Graph& graph, NodeId source,
                                             const WalkConfig& config,
                                             WalkScratch* scratch = nullptr,
                                             const NodeOwnerFn* owner = nullptr,
                                             WalkStats* stats = nullptr);
 
-/// Batched fast path: same results, but streams `context`'s alias arena
-/// with software prefetch across each walker block.
-WalkDistributions SimulateWalkDistributions(const WalkContext& context,
-                                            NodeId source,
-                                            const WalkConfig& config,
-                                            WalkScratch* scratch = nullptr,
-                                            const NodeOwnerFn* owner = nullptr,
-                                            WalkStats* stats = nullptr);
-
-/// Dispatch for callers holding an optional context (which, when non-null,
-/// must have been built from `graph`).
-inline WalkDistributions SimulateWalkDistributions(
-    const Graph& graph, const WalkContext* context_or_null, NodeId source,
-    const WalkConfig& config, WalkScratch* scratch = nullptr,
-    const NodeOwnerFn* owner = nullptr, WalkStats* stats = nullptr) {
-  return context_or_null != nullptr
-             ? SimulateWalkDistributions(*context_or_null, source, config,
-                                         scratch, owner, stats)
-             : SimulateWalkDistributions(graph, source, config, scratch,
-                                         owner, stats);
-}
-
 /// Runs SimulateWalkDistributions for every source in [0, graph.num_nodes())
 /// on `pool` (serial when null) and invokes `consume(source, dists)` once
 /// per source. `consume` may run concurrently for different sources and must
-/// be thread-safe across them. Builds a WalkContext internally (amortized
-/// over all sources); use the context overload to reuse one.
+/// be thread-safe across them.
 void SimulateAllSources(
     const Graph& graph, const WalkConfig& config, ThreadPool* pool,
-    const std::function<void(NodeId, const WalkDistributions&)>& consume);
-
-/// As above over a prebuilt context.
-void SimulateAllSources(
-    const WalkContext& context, const WalkConfig& config, ThreadPool* pool,
     const std::function<void(NodeId, const WalkDistributions&)>& consume);
 
 /// Records the full trajectory of a single walker: positions[t] is the node

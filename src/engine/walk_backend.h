@@ -64,38 +64,42 @@ class WalkBackend {
 };
 
 /// The single-node backend: forwards to the batched walk kernel
-/// (engine/walk.h, engine/walk_program.h) over one graph / arena. Cheap to
+/// (engine/walk.h, engine/walk_program.h) over one graph. Cheap to
 /// construct — the query kernels stack-allocate one per call when no
 /// explicit backend is supplied. Borrows everything.
 class LocalWalkBackend final : public WalkBackend {
  public:
-  LocalWalkBackend(const Graph& graph, const WalkContext* context_or_null,
+  explicit LocalWalkBackend(const Graph& graph,
+                            const NodeOwnerFn* owner = nullptr)
+      : graph_(&graph), owner_(owner) {}
+  /// Source compatibility with the retired WalkContext (engine/walk.h):
+  /// the context is ignored.
+  LocalWalkBackend(const Graph& graph, const WalkContext* /*ignored*/,
                    const NodeOwnerFn* owner = nullptr)
-      : graph_(&graph), context_(context_or_null), owner_(owner) {}
+      : LocalWalkBackend(graph, owner) {}
 
   WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
                                   WalkStats* stats) const override {
-    return SimulateWalkDistributions(*graph_, context_, source, config,
+    return SimulateWalkDistributions(*graph_, source, config,
                                      /*scratch=*/nullptr, owner_, stats);
   }
 
   SparseVector PprEndpoints(NodeId source, const WalkConfig& config,
                             const PprParams& params,
                             WalkStats* stats) const override {
-    return SimulatePprEndpoints(*graph_, context_, source, config, params,
+    return SimulatePprEndpoints(*graph_, source, config, params,
                                 /*scratch=*/nullptr, owner_, stats);
   }
 
   WalkDistributions Node2VecLevels(NodeId source, const WalkConfig& config,
                                    const Node2VecParams& params,
                                    WalkStats* stats) const override {
-    return SimulateNode2VecVisits(*graph_, context_, source, config, params,
+    return SimulateNode2VecVisits(*graph_, source, config, params,
                                   /*scratch=*/nullptr, owner_, stats);
   }
 
  private:
   const Graph* graph_;
-  const WalkContext* context_;
   const NodeOwnerFn* owner_;
 };
 

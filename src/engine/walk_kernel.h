@@ -7,7 +7,7 @@
 //
 // A *walk program* supplies the per-step policy; the kernel supplies
 // everything else — the SoA walker cursors, the blocked advance with
-// software prefetch over the alias arena, dangling handling, cancel
+// software prefetch over the CSR in-adjacency, dangling handling, cancel
 // polling, and the radix-sort endpoint aggregation. Programs are selected
 // at compile time (one template instantiation per program), so the SimRank
 // instantiation compiles to exactly the pre-refactor machine code: every
@@ -24,7 +24,7 @@
 //     True when the next node depends on (current, previous) — the kernel
 //     then maintains a per-walker previous-vertex SoA cursor and delegates
 //     the whole draw to Advance() instead of running the first-order
-//     alias pipeline.
+//     prefetch pipeline.
 //   static constexpr bool kEmitsLevels;
 //     True when the program consumes per-level endpoint distributions;
 //     false skips endpoint recording and sorting entirely.
@@ -56,7 +56,7 @@
 // channels from the per-source key with DeriveSeed so distinct programs
 // (and distinct draws within a step) consume disjoint streams. This is
 // what makes results bit-identical across batch widths, thread counts,
-// and the arena / plain-CSR access paths.
+// and backends.
 
 #ifndef CLOUDWALKER_ENGINE_WALK_KERNEL_H_
 #define CLOUDWALKER_ENGINE_WALK_KERNEL_H_
@@ -66,16 +66,25 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/sparse.h"
-#include "engine/alias.h"
 #include "engine/simd.h"
 #include "engine/walk.h"
 #include "graph/graph.h"
 
 namespace cloudwalker {
 
+/// Issues a read prefetch for the cache line holding `addr` (no-op on
+/// compilers without the builtin). The batched kernel uses this to overlap
+/// the CSR lookups of a whole walker block.
+inline void PrefetchRead(const void* addr) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
+#else
+  (void)addr;
+#endif
+}
+
 /// The engine's internal implementation (friend of WalkScratch). Results
-/// depend only on (graph, source, config, program) — the arena is purely
-/// an access-path accelerator.
+/// depend only on (graph, source, config, program).
 struct WalkKernel {
   // 11-bit digits: one counting pass covers 2048 ids, two cover 4.2M-node
   // graphs, three cover the full 32-bit id space. The counter array stays
@@ -143,14 +152,12 @@ struct WalkKernel {
 
   /// Runs `program` over config.num_walkers walkers from `source`. The
   /// shared engine: level-synchronous blocks of config.batch_width, the
-  /// 3-pass prefetch pipeline over `arena` (plain CSR when null) for
-  /// first-order programs, per-walker previous-vertex cursors for
-  /// second-order ones.
+  /// 3-pass prefetch pipeline over the CSR in-adjacency for first-order
+  /// programs, per-walker previous-vertex cursors for second-order ones.
   template <typename Program>
-  static void Run(const Graph& graph, const AliasArena* arena, NodeId source,
-                  const WalkConfig& config, WalkScratch* scratch,
-                  const NodeOwnerFn* owner, WalkStats* stats,
-                  Program& program) {
+  static void Run(const Graph& graph, NodeId source, const WalkConfig& config,
+                  WalkScratch* scratch, const NodeOwnerFn* owner,
+                  WalkStats* stats, Program& program) {
     CW_CHECK_LT(source, graph.num_nodes());
     CW_CHECK_GT(config.num_walkers, 0u);
     program.Begin(source, config);
@@ -176,17 +183,12 @@ struct WalkKernel {
     NodeId* const endpoints = s.endpoints_.data();
     uint32_t alive = r;
 
-    // Stack-resident SoA cursors of the in-flight block (first-order arena
-    // path): the pending walkers between the slot-prefetch and
-    // slot-resolve passes.
-    uint64_t pending_global[kMaxWalkBatchWidth];
-    uint32_t pending_accept[kMaxWalkBatchWidth];
-    uint32_t pending_slot[kMaxWalkBatchWidth];
+    // Stack-resident SoA cursors of the in-flight block (first-order
+    // path): the pending walkers between the target-prefetch and
+    // target-load passes.
+    uint64_t pending_edge[kMaxWalkBatchWidth];
     uint32_t pending_walker[kMaxWalkBatchWidth];
     NodeId pending_prev[kMaxWalkBatchWidth];
-    NodeId next_nodes[kMaxWalkBatchWidth];
-    const AliasSlot* const arena_slots =
-        arena != nullptr ? arena->Slots().data() : nullptr;
     const uint64_t* const in_offsets = graph.InOffsets().data();
     const NodeId* const in_targets = graph.InTargets().data();
 
@@ -214,8 +216,7 @@ struct WalkKernel {
                 continue;
               }
             }
-            const uint32_t deg =
-                arena != nullptr ? arena->RowDegree(v) : graph.InDegree(v);
+            const uint32_t deg = graph.InDegree(v);
             if (deg == 0) {
               if (stats != nullptr) ++stats->steps;
               if (self_loop) {
@@ -242,14 +243,14 @@ struct WalkKernel {
               endpoints[n_live++] = next;
             }
           }
-        } else if (arena != nullptr) {
+        } else {
           // Pass 1: prefetch the offset entries of the block's frontier.
           for (uint32_t i = 0; i < wn; ++i) {
             if (pos[w0 + i] != kInvalidNode) {
-              arena->PrefetchOffsets(pos[w0 + i]);
+              PrefetchRead(&in_offsets[pos[w0 + i]]);
             }
           }
-          // Pass 2: draw, pick slots, prefetch the packed slots.
+          // Pass 2: draw, pick slots, prefetch the picked targets.
           uint32_t pending = 0;
           for (uint32_t i = 0; i < wn; ++i) {
             const uint32_t w = w0 + i;
@@ -262,7 +263,9 @@ struct WalkKernel {
                 continue;
               }
             }
-            const uint32_t deg = arena->RowDegree(v);
+            const uint64_t off = in_offsets[v];
+            const uint32_t deg =
+                static_cast<uint32_t>(in_offsets[v + 1] - off);
             if (deg == 0) {
               if (stats != nullptr) ++stats->steps;
               if (self_loop) {
@@ -275,25 +278,16 @@ struct WalkKernel {
               }
               continue;
             }
-            const uint64_t raw = program.Draw(w, t);
-            const uint32_t slot = AliasArena::PickSlot(raw, deg);
-            const uint64_t global = arena->RowOffset(v) + slot;
-            arena->PrefetchSlot(global);
-            pending_global[pending] = global;
-            pending_accept[pending] = static_cast<uint32_t>(raw);
-            pending_slot[pending] = slot;
+            const uint64_t edge = off + PickSlot(program.Draw(w, t), deg);
+            PrefetchRead(&in_targets[edge]);
+            pending_edge[pending] = edge;
             pending_walker[pending] = w;
             pending_prev[pending] = v;
             ++pending;
           }
-          // Pass 3: resolve the prefetched slots as one SIMD batch
-          // (engine/simd.h — same comparisons as the scalar path, so the
-          // resolved ids are identical), then the scalar bookkeeping.
-          simd::ResolveAliasBatch(arena_slots, pending_global, pending_accept,
-                                  pending_slot, pending_prev, in_offsets,
-                                  in_targets, pending, next_nodes);
+          // Pass 3: load the prefetched targets.
           for (uint32_t j = 0; j < pending; ++j) {
-            const NodeId next = next_nodes[j];
+            const NodeId next = in_targets[pending_edge[j]];
             if (stats != nullptr) {
               ++stats->steps;
               if (owner != nullptr &&
@@ -302,46 +296,6 @@ struct WalkKernel {
               }
             }
             pos[pending_walker[j]] = next;
-            if constexpr (Program::kEmitsLevels) {
-              endpoints[n_live++] = next;
-            }
-          }
-        } else {
-          // Plain-CSR fallback: same draws, same endpoints, no prefetch.
-          for (uint32_t i = 0; i < wn; ++i) {
-            const uint32_t w = w0 + i;
-            const NodeId v = pos[w];
-            if (v == kInvalidNode) continue;
-            if constexpr (Program::kMayRetire) {
-              if (!program.PreStep(w, t, v)) {
-                pos[w] = kInvalidNode;
-                --alive;
-                continue;
-              }
-            }
-            const uint32_t deg = graph.InDegree(v);
-            if (deg == 0) {
-              if (stats != nullptr) ++stats->steps;
-              if (self_loop) {
-                if constexpr (Program::kEmitsLevels) {
-                  endpoints[n_live++] = v;
-                }
-              } else {
-                pos[w] = kInvalidNode;
-                --alive;
-              }
-              continue;
-            }
-            const uint64_t raw = program.Draw(w, t);
-            const NodeId next =
-                graph.InNeighbor(v, AliasArena::PickSlot(raw, deg));
-            if (stats != nullptr) {
-              ++stats->steps;
-              if (owner != nullptr && (*owner)(v) != (*owner)(next)) {
-                ++stats->partition_crossings;
-              }
-            }
-            pos[w] = next;
             if constexpr (Program::kEmitsLevels) {
               endpoints[n_live++] = next;
             }
@@ -386,9 +340,7 @@ struct SimRankEndpointsProgram {
   WalkDistributions* out = nullptr;  // null for raw-level subclasses
 
   void Begin(NodeId source, const WalkConfig& config) {
-    key = DeriveSeed(config.seed, config.rng_node != kInvalidNode
-                                      ? config.rng_node
-                                      : source);
+    key = DeriveSeed(config.seed, RngNode(config, source));
     if (out == nullptr) return;
     out->levels.assign(config.num_steps + 1, SparseVector());
     // Level 0 is exactly e_source.

@@ -29,9 +29,8 @@ SparseVector AggregateEndpointNodes(std::vector<NodeId>& nodes, double inv_r,
   return SparseVector::FromSorted(std::move(entries));
 }
 
-SparseVector SimulatePprEndpoints(const Graph& graph,
-                                  const WalkContext* context_or_null,
-                                  NodeId source, const WalkConfig& config,
+SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,
+                                  const WalkConfig& config,
                                   const PprParams& params,
                                   WalkScratch* scratch,
                                   const NodeOwnerFn* owner,
@@ -40,18 +39,13 @@ SparseVector SimulatePprEndpoints(const Graph& graph,
   CW_CHECK_LT(params.alpha, 1.0);
   internal::PprEndpointsProgram program;
   program.alpha = params.alpha;
-  const AliasArena* arena =
-      context_or_null != nullptr ? &context_or_null->arena() : nullptr;
-  WalkKernel::Run(graph, arena, source, config, scratch, owner, stats,
-                  program);
+  WalkKernel::Run(graph, source, config, scratch, owner, stats, program);
   const double inv_r = 1.0 / static_cast<double>(config.num_walkers);
   return AggregateEndpointNodes(program.terminals, inv_r,
                                 WalkKernel::IdBits(graph));
 }
 
-WalkDistributions SimulateNode2VecVisits(const Graph& graph,
-                                         const WalkContext* context_or_null,
-                                         NodeId source,
+WalkDistributions SimulateNode2VecVisits(const Graph& graph, NodeId source,
                                          const WalkConfig& config,
                                          const Node2VecParams& params,
                                          WalkScratch* scratch,
@@ -60,12 +54,9 @@ WalkDistributions SimulateNode2VecVisits(const Graph& graph,
   WalkDistributions out;
   internal::Node2VecProgram program;
   program.graph = &graph;
-  program.arena =
-      context_or_null != nullptr ? &context_or_null->arena() : nullptr;
   program.out = &out;
   program.Configure(params);
-  WalkKernel::Run(graph, program.arena, source, config, scratch, owner,
-                  stats, program);
+  WalkKernel::Run(graph, source, config, scratch, owner, stats, program);
   return out;
 }
 

@@ -4,21 +4,23 @@
 // entry points in engine/walk.h.
 //
 // Both programs run on the same kernel as SimRank (SoA cursors, blocked
-// advance, arena prefetch, radix aggregation) and inherit its determinism
+// advance, CSR prefetch, radix aggregation) and inherit its determinism
 // contract: every draw is a pure function of (config.seed, source, walker,
 // step[, trial]), on per-program channels derived from the per-source key,
-// so results are bit-identical across batch widths, thread counts, and the
-// arena / plain-CSR access paths — per program.
+// so results are bit-identical across batch widths, thread counts, and
+// backends — per program.
 //
 // Both walk the same reverse transition kernel P as SimRank (each move
 // goes to a uniformly random *in-neighbor*), so they measure relevance in
 // the graph whose arcs are the reversed input arcs. This is deliberate:
-// one arena, one snapshot, one cache serve all programs.
+// one CSR, one snapshot, one cache serve all programs.
 
 #ifndef CLOUDWALKER_ENGINE_WALK_PROGRAM_H_
 #define CLOUDWALKER_ENGINE_WALK_PROGRAM_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/sparse.h"
@@ -48,6 +50,21 @@ inline uint64_t AcceptThreshold(double prob) {
 /// convention: top 53 bits).
 inline double DrawToUnit(uint64_t raw) {
   return static_cast<double>(raw >> 11) * 0x1.0p-53;
+}
+
+/// True when `node` occurs in the in-row `row`. In-rows ascend by external
+/// id: the id itself, or `external_ids[id]` on a locality-reordered graph
+/// (WalkConfig::external_ids), so membership is one binary search either
+/// way. Shared by every backend's node2vec step.
+inline bool InRowContains(std::span<const NodeId> row, NodeId node,
+                          std::span<const NodeId> external_ids) {
+  if (external_ids.empty()) {
+    return std::binary_search(row.begin(), row.end(), node);
+  }
+  return std::binary_search(row.begin(), row.end(), node,
+                            [external_ids](NodeId a, NodeId b) {
+                              return external_ids[a] < external_ids[b];
+                            });
 }
 
 /// Sorts a bag of endpoint nodes and run-length encodes it into the
@@ -92,11 +109,9 @@ struct Node2VecParams {
 ///   ppr_T(v) = sum_{t<T} (1-a) a^t (P^t e_s)(v) + a^T (P^T e_s)(v).
 /// Under DanglingPolicy::kDie the distribution is sub-stochastic (mass at
 /// walkers that die dangling is lost, exactly as in SimRank's levels).
-/// `context_or_null`, `scratch`, `owner`, `stats` as in
-/// SimulateWalkDistributions.
-SparseVector SimulatePprEndpoints(const Graph& graph,
-                                  const WalkContext* context_or_null,
-                                  NodeId source, const WalkConfig& config,
+/// `scratch`, `owner`, `stats` as in SimulateWalkDistributions.
+SparseVector SimulatePprEndpoints(const Graph& graph, NodeId source,
+                                  const WalkConfig& config,
                                   const PprParams& params,
                                   WalkScratch* scratch = nullptr,
                                   const NodeOwnerFn* owner = nullptr,
@@ -106,12 +121,10 @@ SparseVector SimulatePprEndpoints(const Graph& graph,
 /// the per-level empirical distributions (levels[0] = e_source), exactly
 /// like SimulateWalkDistributions but with the biased transition
 ///   w(next) = 1/p if next == prev, 1 if next in In(prev), 1/q otherwise,
-/// sampled by rejection against the uniform alias arena. The first step
+/// sampled by rejection against the uniform in-link row. The first step
 /// (no previous node yet) is uniform. Visit scores for ranking are the
 /// level average; see Node2VecVisitScores in core/queries.h.
-WalkDistributions SimulateNode2VecVisits(const Graph& graph,
-                                         const WalkContext* context_or_null,
-                                         NodeId source,
+WalkDistributions SimulateNode2VecVisits(const Graph& graph, NodeId source,
                                          const WalkConfig& config,
                                          const Node2VecParams& params,
                                          WalkScratch* scratch = nullptr,

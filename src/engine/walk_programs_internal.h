@@ -15,6 +15,7 @@
 #define CLOUDWALKER_ENGINE_WALK_PROGRAMS_INTERNAL_H_
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -43,9 +44,7 @@ struct PprEndpointsProgram {
   std::vector<NodeId> terminals;
 
   void Begin(NodeId source, const WalkConfig& config) {
-    key = DeriveSeed(config.seed, config.rng_node != kInvalidNode
-                                      ? config.rng_node
-                                      : source);
+    key = DeriveSeed(config.seed, RngNode(config, source));
     stop_key = DeriveSeed(key, kPprStopChannel);
     terminals.clear();
     terminals.reserve(config.num_walkers);
@@ -72,9 +71,8 @@ struct PprEndpointsProgram {
 
 /// Second-order node2vec-style walks as a walk program. The previous
 /// vertex lives in the kernel's SoA cursor; the biased transition is
-/// sampled by rejection against the uniform in-link distribution (the
-/// alias arena when available, the CSR row otherwise — bit-identical
-/// either way): draw a uniform candidate, accept with probability
+/// sampled by rejection against the uniform in-link distribution of the
+/// CSR row: draw a uniform candidate, accept with probability
 /// w(candidate) / w_max. Every trial draw is
 /// CounterRandom(DeriveSeed(trial_base, walker << 32 | step), trial),
 /// a pure function of (seed, source, walker, step, trial).
@@ -84,7 +82,7 @@ struct Node2VecProgram {
   static constexpr bool kEmitsLevels = true;
 
   const Graph* graph = nullptr;
-  const AliasArena* arena = nullptr;
+  std::span<const NodeId> external_ids;  // WalkConfig::external_ids
   uint32_t max_trials = 64;
   uint64_t key = 0;         // canonical move stream (first, uniform step)
   uint64_t trial_base = 0;  // per-source rejection-trial channel
@@ -107,27 +105,12 @@ struct Node2VecProgram {
     max_trials = params.max_trials;
   }
   void Begin(NodeId source, const WalkConfig& config) {
-    key = DeriveSeed(config.seed, config.rng_node != kInvalidNode
-                                      ? config.rng_node
-                                      : source);
+    key = DeriveSeed(config.seed, RngNode(config, source));
+    external_ids = config.external_ids;
     trial_base = DeriveSeed(key, kNode2VecTrialChannel);
     if (out == nullptr) return;
     out->levels.assign(config.num_steps + 1, SparseVector());
     out->levels[0] = SparseVector::FromSorted({SparseEntry{source, 1.0}});
-  }
-
-  // Uniform in-neighbor pick, resolved exactly like the first-order
-  // kernel's pass 3 so the arena and CSR paths consume `raw` identically
-  // (in-link rows are uniform: accept == 0, alias == own target).
-  NodeId Resolve(NodeId cur, uint64_t raw, uint32_t deg) const {
-    const uint32_t slot = AliasArena::PickSlot(raw, deg);
-    if (arena != nullptr) {
-      const AliasSlot s = arena->slot(arena->RowOffset(cur) + slot);
-      return static_cast<uint32_t>(raw) < s.accept
-                 ? graph->InNeighbor(cur, slot)
-                 : s.alias;
-    }
-    return graph->InNeighbor(cur, slot);
   }
 
   NodeId Advance(uint32_t w, uint32_t t, NodeId cur, NodeId prev,
@@ -135,23 +118,22 @@ struct Node2VecProgram {
     if (prev == kInvalidNode) {
       // First step: no second-order state yet, uniform over In(cur) on the
       // canonical move stream — the same draw SimRank would make.
-      return Resolve(cur, Draw(w, t), deg);
+      return graph->InNeighbor(cur, PickSlot(Draw(w, t), deg));
     }
     const uint64_t trial_key = DeriveSeed(
         trial_base, (static_cast<uint64_t>(w + walker_offset) << 32) | t);
-    // In(prev) is sorted ascending (graph.h), so candidate distance
-    // classifies with one binary search; d == 0 (the previous node
-    // itself) takes precedence.
+    // In(prev) ascends by external id (WalkConfig::external_ids), so
+    // candidate distance classifies with one binary search; d == 0 (the
+    // previous node itself) takes precedence.
     const auto in_prev = graph->InNeighbors(prev);
     NodeId candidate = kInvalidNode;
     for (uint32_t trial = 0; trial < max_trials; ++trial) {
       const uint64_t raw = CounterRandom(trial_key, trial);
-      candidate = Resolve(cur, raw, deg);
+      candidate = graph->InNeighbor(cur, PickSlot(raw, deg));
       uint64_t threshold;
       if (candidate == prev) {
         threshold = thr_return;
-      } else if (std::binary_search(in_prev.begin(), in_prev.end(),
-                                    candidate)) {
+      } else if (InRowContains(in_prev, candidate, external_ids)) {
         threshold = thr_near;
       } else {
         threshold = thr_far;

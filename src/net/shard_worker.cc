@@ -23,8 +23,8 @@ constexpr double kFrameIoSeconds = 30.0;
 // Accept / readability poll slice between stop-flag checks.
 constexpr double kPollSliceSeconds = 0.1;
 
-// Row source over the snapshot's full in-CSR + alias arena
-// (shard/walk_policies.h defines the contract). A worker maps the whole
+// Row source over the snapshot's full in-CSR (shard/walk_policies.h
+// defines the contract). A worker maps the whole
 // in-adjacency, so Locate indexes by global node id directly; ownership
 // only matters for the remote-row telemetry of second-order In(prev)
 // reads, which the partitioner answers exactly like the in-process
@@ -32,7 +32,6 @@ constexpr double kPollSliceSeconds = 0.1;
 struct SnapshotRowSource {
   std::span<const uint64_t> offsets;
   std::span<const NodeId> targets;
-  std::span<const AliasSlot> slots;
   const Partitioner* partitioner = nullptr;
   int shard = 0;
 
@@ -41,7 +40,7 @@ struct SnapshotRowSource {
                        static_cast<uint32_t>(offsets[v + 1] - offsets[v])};
   }
   NodeId Pick(const RowLocation& loc, uint64_t raw) const {
-    return PickFromRow(targets, slots, loc, raw);
+    return PickFromRow(targets, loc, raw);
   }
   std::span<const NodeId> InRow(NodeId v, uint64_t* remote_rows) const {
     if (partitioner->Owner(v) != shard) ++*remote_rows;
@@ -138,8 +137,7 @@ StatusOr<std::unique_ptr<ShardWorker>> ShardWorker::Create(
   // and diagonal sections are neither mapped hot nor integrity-swept.
   CW_ASSIGN_OR_RETURN(
       std::shared_ptr<const SnapshotView> snapshot,
-      SnapshotView::Open(options.snapshot_path,
-                         kSnapshotIn | kSnapshotArena));
+      SnapshotView::Open(options.snapshot_path, kSnapshotIn));
   CW_ASSIGN_OR_RETURN(Socket listener, TcpListen(options.port));
   CW_ASSIGN_OR_RETURN(const uint16_t port, BoundPort(listener));
   return std::unique_ptr<ShardWorker>(new ShardWorker(
@@ -282,7 +280,6 @@ bool ShardWorker::ServeConnection(Socket conn) {
         }
         const SnapshotRowSource rows{snapshot_->in_offsets(),
                                      snapshot_->in_targets(),
-                                     snapshot_->arena_slots(),
                                      &partitioner.value(), shard};
         ResultMsg result;
         result.step = msg.step;

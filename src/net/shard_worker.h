@@ -31,8 +31,8 @@ namespace cloudwalker {
 
 /// Configuration of one shard worker.
 struct ShardWorkerOptions {
-  /// Snapshot artifact to serve (opened kSnapshotIn | kSnapshotArena — a
-  /// worker only ever walks in-links).
+  /// Snapshot artifact to serve (opened kSnapshotIn — a worker only ever
+  /// walks in-links).
   std::string snapshot_path;
   /// TCP port to listen on; 0 picks an ephemeral port (read it back with
   /// port()).
@@ -50,7 +50,7 @@ struct ShardWorkerOptions {
 /// connection at a time.
 class ShardWorker {
  public:
-  /// Opens the snapshot (in-CSR + arena sections only) and binds the
+  /// Opens the snapshot (in-CSR sections only) and binds the
   /// listener; serving starts with Serve().
   static StatusOr<std::unique_ptr<ShardWorker>> Create(
       const ShardWorkerOptions& options);

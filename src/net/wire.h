@@ -197,6 +197,13 @@ inline void AppendPod(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
 }
 
+// memcpy out of a payload into a freshly resized vector. An empty vector's
+// data() may be null, and memcpy's pointers must be valid even for zero
+// bytes, so a zero count copies nothing.
+inline void CopyOut(void* dst, const char* src, size_t size) {
+  if (size != 0) std::memcpy(dst, src, size);
+}
+
 inline std::string EncodeHello(const HelloMsg& msg,
                                std::string_view build_info) {
   std::string out;
@@ -241,8 +248,8 @@ inline Status DecodeSuperstep(std::string_view payload, SuperstepMsg* msg,
         " bytes but walker_count implies " + std::to_string(want));
   }
   walkers->resize(msg->walker_count);
-  std::memcpy(walkers->data(), payload.data() + sizeof(SuperstepMsg),
-              size_t{msg->walker_count} * sizeof(WalkerRec));
+  CopyOut(walkers->data(), payload.data() + sizeof(SuperstepMsg),
+          size_t{msg->walker_count} * sizeof(WalkerRec));
   return Status::Ok();
 }
 
@@ -282,16 +289,14 @@ inline Status DecodeResult(std::string_view payload, ResultMsg* msg,
   }
   const char* p = payload.data() + sizeof(ResultMsg);
   survivors->resize(msg->survivor_count);
-  std::memcpy(survivors->data(), p,
-              size_t{msg->survivor_count} * sizeof(WalkerRec));
+  CopyOut(survivors->data(), p,
+          size_t{msg->survivor_count} * sizeof(WalkerRec));
   p += size_t{msg->survivor_count} * sizeof(WalkerRec);
   endpoints->resize(msg->endpoint_count);
-  std::memcpy(endpoints->data(), p,
-              size_t{msg->endpoint_count} * sizeof(NodeId));
+  CopyOut(endpoints->data(), p, size_t{msg->endpoint_count} * sizeof(NodeId));
   p += size_t{msg->endpoint_count} * sizeof(NodeId);
   terminals->resize(msg->terminal_count);
-  std::memcpy(terminals->data(), p,
-              size_t{msg->terminal_count} * sizeof(NodeId));
+  CopyOut(terminals->data(), p, size_t{msg->terminal_count} * sizeof(NodeId));
   return Status::Ok();
 }
 

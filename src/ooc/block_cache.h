@@ -51,9 +51,9 @@ struct BlockCacheCounters {
 /// Thread-safe demand-paged block cache over one PagedSnapshot.
 class BlockCache {
  public:
-  /// An RAII pin on one resident block. `targets()`/`slots()` are the
-  /// block's slices of the paged arrays, indexed block-locally: global
-  /// edge index i lives at [i - base()]. Valid until destruction; move-
+  /// An RAII pin on one resident block. `targets()` is the block's slice
+  /// of the paged in_targets array, indexed block-locally: global edge
+  /// index i lives at [i - base()]. Valid until destruction; move-
   /// only. A default-constructed lease is empty.
   class Lease {
    public:
@@ -69,7 +69,6 @@ class BlockCache {
     /// Global edge index of the first element (the block's edge_begin).
     uint64_t base() const { return base_; }
     const NodeId* targets() const { return targets_; }
-    const AliasSlot* slots() const { return slots_; }
 
    private:
     friend class BlockCache;
@@ -77,7 +76,6 @@ class BlockCache {
     uint32_t block_ = 0;
     uint64_t base_ = 0;
     const NodeId* targets_ = nullptr;
-    const AliasSlot* slots_ = nullptr;
   };
 
   /// `budget_bytes` caps resident paged payload. Must admit the largest
@@ -99,7 +97,6 @@ class BlockCache {
 
   struct Frame {
     std::vector<NodeId> targets;
-    std::vector<AliasSlot> slots;
     uint32_t pins = 0;
     bool resident = false;
     bool loading = false;

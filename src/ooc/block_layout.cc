@@ -8,13 +8,28 @@
 namespace cloudwalker {
 namespace {
 
-constexpr uint32_t kBlockIndexVersion = 1;
+constexpr uint32_t kBlockIndexVersion = 2;
+
+// Version 1 extent record, written verbatim: the four bounds, the
+// in_targets CRC and the CRC of the retired arena slice (ignored).
+struct BlockExtentV1 {
+  uint64_t node_begin;
+  uint64_t node_end;
+  uint64_t edge_begin;
+  uint64_t edge_end;
+  uint32_t crc_in_targets;
+  uint32_t crc_arena_slots;
+};
+static_assert(sizeof(BlockExtentV1) == 40, "v1 extents are 40 bytes");
+
+// Version 2 extent record: the bounds and the in_targets CRC, written
+// field by field (36 bytes, no padding).
+constexpr uint64_t kExtentV2Bytes = 4 * sizeof(uint64_t) + sizeof(uint32_t);
 
 }  // namespace
 
 std::vector<BlockExtent> BuildBlockLayout(std::span<const uint64_t> in_offsets,
                                           std::span<const NodeId> in_targets,
-                                          std::span<const AliasSlot> slots,
                                           uint64_t target_block_bytes) {
   std::vector<BlockExtent> blocks;
   if (in_offsets.size() < 2) return blocks;  // zero-node graph: no blocks
@@ -39,8 +54,6 @@ std::vector<BlockExtent> BuildBlockLayout(std::span<const uint64_t> in_offsets,
     b.edge_end = in_offsets[node];
     b.crc_in_targets = Crc32(in_targets.data() + b.edge_begin,
                              b.num_edges() * sizeof(NodeId));
-    b.crc_arena_slots = Crc32(slots.data() + b.edge_begin,
-                              b.num_edges() * sizeof(AliasSlot));
     blocks.push_back(b);
   }
   return blocks;
@@ -51,22 +64,52 @@ std::string EncodeBlockIndex(const std::vector<BlockExtent>& blocks,
   BinaryWriter w;
   w.Write(kBlockIndexVersion);
   w.Write(target_block_bytes);
-  w.WriteVector(blocks);
+  w.Write<uint64_t>(blocks.size());
+  for (const BlockExtent& b : blocks) {
+    w.Write(b.node_begin);
+    w.Write(b.node_end);
+    w.Write(b.edge_begin);
+    w.Write(b.edge_end);
+    w.Write(b.crc_in_targets);
+  }
   return w.buffer();
 }
 
 Status DecodeBlockIndex(const std::string& bytes, uint64_t num_nodes,
                         uint64_t num_edges, std::vector<BlockExtent>* blocks,
-                        uint64_t* target_block_bytes) {
+                        uint64_t* target_block_bytes, uint32_t* version) {
   BinaryReader r(bytes);
-  uint32_t version = 0;
-  CW_RETURN_IF_ERROR(r.Read(&version));
-  if (version != kBlockIndexVersion) {
+  uint32_t v = 0;
+  CW_RETURN_IF_ERROR(r.Read(&v));
+  if (v != 1 && v != kBlockIndexVersion) {
     return Status::InvalidArgument("unsupported block index version " +
-                                   std::to_string(version));
+                                   std::to_string(v));
   }
+  if (version != nullptr) *version = v;
   CW_RETURN_IF_ERROR(r.Read(target_block_bytes));
-  CW_RETURN_IF_ERROR(r.ReadVector(blocks));
+  blocks->clear();
+  if (v == 1) {
+    std::vector<BlockExtentV1> v1;
+    CW_RETURN_IF_ERROR(r.ReadVector(&v1));
+    for (const BlockExtentV1& e : v1) {
+      blocks->push_back(BlockExtent{e.node_begin, e.node_end, e.edge_begin,
+                                    e.edge_end, e.crc_in_targets});
+    }
+  } else {
+    uint64_t count = 0;
+    CW_RETURN_IF_ERROR(r.Read(&count));
+    if (count > (bytes.size() - r.position()) / kExtentV2Bytes) {
+      return Status::OutOfRange("block index: truncated extent list");
+    }
+    blocks->resize(count);
+    for (BlockExtent& b : *blocks) {
+      CW_RETURN_IF_ERROR(r.Read(&b.node_begin));
+      CW_RETURN_IF_ERROR(r.Read(&b.node_end));
+      CW_RETURN_IF_ERROR(r.Read(&b.edge_begin));
+      CW_RETURN_IF_ERROR(r.Read(&b.edge_end));
+      CW_RETURN_IF_ERROR(r.Read(&b.crc_in_targets));
+    }
+  }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after block index");
   }

@@ -11,13 +11,11 @@ namespace {
 
 // The Rows concept of shard/walk_policies.h over pinned block leases:
 // Locate answers from the resident in-CSR offsets (global edge indices);
-// Pick and InRow rebase into the block-local lease arrays. Resolution is
-// byte-for-byte PickFromRow's slots path, which is the proven arena-path
-// equivalence.
+// Pick and InRow rebase into the block-local lease arrays. Pick is
+// PickFromRow with the row offset rebased.
 struct LeasedRows {
-  const uint64_t* offsets = nullptr;  // resident in/arena offsets (global)
+  const uint64_t* offsets = nullptr;  // resident in-CSR offsets (global)
   const NodeId* targets = nullptr;    // current block's in_targets slice
-  const AliasSlot* slots = nullptr;   // current block's arena slice
   uint64_t base = 0;                  // global edge index of targets[0]
   const NodeId* prev_targets = nullptr;  // previous hop's block (2nd order)
   uint64_t prev_base = 0;
@@ -26,24 +24,13 @@ struct LeasedRows {
     return {offsets[v], static_cast<uint32_t>(offsets[v + 1] - offsets[v])};
   }
   NodeId Pick(const RowLocation& loc, uint64_t raw) const {
-    const uint32_t slot = AliasArena::PickSlot(raw, loc.degree);
-    const uint64_t i = loc.offset + slot - base;
-    const AliasSlot s = slots[i];
-    return static_cast<uint32_t>(raw) < s.accept ? targets[i] : s.alias;
+    return targets[loc.offset - base + PickSlot(raw, loc.degree)];
   }
   std::span<const NodeId> InRow(NodeId v, uint64_t* /*remote_rows*/) const {
     return {prev_targets + (offsets[v] - prev_base),
             static_cast<size_t>(offsets[v + 1] - offsets[v])};
   }
 };
-
-// The node the per-source RNG key derives from — the external id on a
-// reordered snapshot (WalkConfig::rng_node), the source itself otherwise.
-// Policies key on their `source` argument, so the override is applied
-// here, once, instead of inside each policy.
-NodeId KeyNode(const WalkConfig& config, NodeId source) {
-  return config.rng_node != kInvalidNode ? config.rng_node : source;
-}
 
 uint32_t IdBitsFor(NodeId n) {
   uint32_t id_bits = 1;
@@ -156,7 +143,6 @@ Status RunWalk(BlockCache& cache, const PagedSnapshot& snap, NodeId source,
       LeasedRows rows;
       rows.offsets = offsets;
       rows.targets = lease.targets();
-      rows.slots = lease.slots();
       rows.base = lease.base();
       if constexpr (!Policy::kSecondOrder) {
         DrainBucket(policy, rows, t, self_loop,
@@ -249,7 +235,7 @@ OutOfCoreWalkBackend::Create(std::shared_ptr<const PagedSnapshot> snapshot,
 WalkDistributions OutOfCoreWalkBackend::SimRankLevels(
     NodeId source, const WalkConfig& config, WalkStats* stats) const {
   SimRankWalkPolicy policy;
-  policy.Configure(config.seed, KeyNode(config, source));
+  policy.Configure(config.seed, RngNode(config, source));
   WalkDistributions out;
   const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
                              stats, &out, nullptr);
@@ -262,7 +248,7 @@ SparseVector OutOfCoreWalkBackend::PprEndpoints(NodeId source,
                                                 const PprParams& params,
                                                 WalkStats* stats) const {
   PprWalkPolicy policy;
-  policy.Configure(config.seed, KeyNode(config, source), params);
+  policy.Configure(config.seed, RngNode(config, source), params);
   SparseVector out;
   const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
                              stats, nullptr, &out);
@@ -274,7 +260,8 @@ WalkDistributions OutOfCoreWalkBackend::Node2VecLevels(
     NodeId source, const WalkConfig& config, const Node2VecParams& params,
     WalkStats* stats) const {
   Node2VecWalkPolicy policy;
-  policy.Configure(config.seed, KeyNode(config, source), params);
+  policy.Configure(config.seed, RngNode(config, source), params);
+  policy.external_ids = config.external_ids;
   WalkDistributions out;
   const Status run = RunWalk(*cache_, *snapshot_, source, config, policy,
                              stats, &out, nullptr);

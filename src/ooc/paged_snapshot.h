@@ -1,26 +1,26 @@
-// PagedSnapshot — the out-of-core view of a cloudwalker-snap-v1 artifact
-// (DESIGN.md section 14).
+// PagedSnapshot — the out-of-core view of a snapshot artifact (DESIGN.md
+// section 14).
 //
 // Where SnapshotView maps the whole file and hands out spans, PagedSnapshot
-// keeps only the per-node arrays resident (CSR offsets, out-targets for the
-// combine phases, arena offsets, diagonal, metadata, block index,
-// permutation — a few dozen bytes per node) and leaves the two per-edge
-// walk arrays — kInTargets and kArenaSlots, 12 bytes per in-edge, the bulk
-// of the file — on disk. The block cache preads node-range blocks of those
-// arrays on demand (ooc/block_cache.h); pread rather than mmap, so an
+// keeps resident the per-node arrays (CSR offsets, diagonal, metadata,
+// block index, permutation) and the out-targets the combine phases read,
+// and leaves the per-edge walk array — kInTargets, 4 bytes per in-edge —
+// on disk. The block cache preads node-range blocks of it on demand
+// (ooc/block_cache.h); pread rather than mmap, so an
 // address-space cap (setrlimit(RLIMIT_AS)) genuinely bounds the process
 // and the cache's byte budget is the real residency ceiling.
 //
 // Integrity: the header + directory CRC is verified, every *resident*
-// section is CRC-checked as it loads, and the paged sections are covered
-// at block granularity by the per-block CRCs in the block index, verified
-// on every page-in. (The whole-file padding sweep is SnapshotView's job;
+// section is CRC-checked as it loads, and the paged section is covered at
+// block granularity by the per-block CRCs in the block index, verified on
+// every page-in. The retired alias sections of a format-1 file are never
+// read. (The whole-file padding sweep is SnapshotView's job;
 // a paged open never reads the bytes between sections.)
 //
 // Old-format artifacts (no kBlockIndex section) fall back to whole-file
-// residency: the per-edge arrays are loaded, CRC-checked, and a block
-// layout is synthesized in memory, so the same scheduler serves them —
-// with every block permanently resident and the cache reporting that.
+// residency: in_targets is loaded, CRC-checked, and a block layout is
+// synthesized in memory, so the same scheduler serves them — with every
+// block permanently resident and the cache reporting that.
 
 #ifndef CLOUDWALKER_OOC_PAGED_SNAPSHOT_H_
 #define CLOUDWALKER_OOC_PAGED_SNAPSHOT_H_
@@ -32,7 +32,6 @@
 
 #include "common/status.h"
 #include "core/options.h"
-#include "engine/alias.h"
 #include "graph/graph.h"
 #include "ooc/block_layout.h"
 #include "snapshot/snapshot.h"
@@ -70,7 +69,6 @@ class PagedSnapshot {
   std::span<const uint64_t> out_offsets() const { return out_offsets_; }
   std::span<const NodeId> out_targets() const { return out_targets_; }
   std::span<const uint64_t> in_offsets() const { return in_offsets_; }
-  std::span<const uint64_t> arena_offsets() const { return arena_offsets_; }
   std::span<const double> diagonal() const { return diagonal_; }
   std::span<const NodeId> permutation() const { return permutation_; }
 
@@ -83,29 +81,27 @@ class PagedSnapshot {
   /// paged mode). False means the whole-file fallback is active.
   bool has_block_index() const { return from_block_index_; }
 
-  /// True when the per-edge arrays are fully resident (the old-format
-  /// fallback, or a platform without pread). ReadBlock is never needed —
-  /// resident_in_targets()/resident_arena_slots() serve directly.
-  bool all_resident() const { return !resident_in_targets_.empty() || num_edges_ == 0; }
+  /// True when in_targets is fully resident (the old-format fallback, or a
+  /// platform without pread). ReadBlock is never needed —
+  /// resident_in_targets() serves directly.
+  bool all_resident() const {
+    return !resident_in_targets_.empty() || num_edges_ == 0;
+  }
   std::span<const NodeId> resident_in_targets() const {
     return resident_in_targets_;
   }
-  std::span<const AliasSlot> resident_arena_slots() const {
-    return resident_arena_slots_;
-  }
 
-  /// Total bytes of the two demand-paged sections — the denominator of the
+  /// Total bytes of the demand-paged section — the denominator of the
   /// "budget capped at <= 50% of the paged bytes" acceptance metric.
   uint64_t paged_bytes() const { return num_edges_ * kPagedBytesPerEdge; }
 
   /// Largest single block's payload — the minimum viable cache budget.
   uint64_t max_block_bytes() const { return max_block_bytes_; }
 
-  /// Reads block `b`'s slices of kInTargets and kArenaSlots into the
-  /// caller's buffers (sized blocks()[b].num_edges() each), verifying the
-  /// per-block CRCs and that every id is in range. Thread-safe.
-  Status ReadBlock(uint32_t b, NodeId* targets_out,
-                   AliasSlot* slots_out) const;
+  /// Reads block `b`'s slice of kInTargets into the caller's buffer
+  /// (sized blocks()[b].num_edges()), verifying the per-block CRC and that
+  /// every id is in range. Thread-safe.
+  Status ReadBlock(uint32_t b, NodeId* targets_out) const;
 
  private:
   PagedSnapshot() = default;
@@ -123,7 +119,6 @@ class PagedSnapshot {
   std::vector<uint64_t> out_offsets_;
   std::vector<NodeId> out_targets_;
   std::vector<uint64_t> in_offsets_;
-  std::vector<uint64_t> arena_offsets_;
   std::vector<double> diagonal_;
   std::vector<NodeId> permutation_;
 
@@ -131,12 +126,10 @@ class PagedSnapshot {
   uint64_t block_target_bytes_ = 0;
   uint64_t max_block_bytes_ = 0;
   bool from_block_index_ = false;
-  // File offsets of the paged sections' payloads (paged mode).
+  // File offset of the paged section's payload (paged mode).
   uint64_t in_targets_offset_ = 0;
-  uint64_t arena_slots_offset_ = 0;
   // Whole-file fallback storage (old-format artifacts).
   std::vector<NodeId> resident_in_targets_;
-  std::vector<AliasSlot> resident_arena_slots_;
 };
 
 }  // namespace cloudwalker

@@ -102,27 +102,23 @@ StatusOr<ReorderedArtifact> ReorderForLocality(const Graph& graph,
   opts.remove_self_loops = false;
   CW_ASSIGN_OR_RETURN(art.graph, builder.Build(opts));
 
-  // The external-rank arena: row u's slot k resolves to the in-neighbor
-  // whose *external* id ranks k-th in the row — the slot the unreordered
-  // artifact's uniform-row arena (accept == 0, alias == target) resolves
-  // the same draw to. Offsets mirror the in-CSR, which is all the snapshot
-  // writer checks.
+  // In-rows in ascending external-id order: slot k of a row then names
+  // the neighbor slot k of the unreordered row names, so every uniform
+  // pick lands on the same external node. Out-rows keep the builder's
+  // internal-id order.
+  std::vector<NodeId> in_targets(art.graph.InTargets().begin(),
+                                 art.graph.InTargets().end());
   const std::span<const uint64_t> in_offsets = art.graph.InOffsets();
-  std::vector<uint64_t> arena_offsets(in_offsets.begin(), in_offsets.end());
-  std::vector<AliasSlot> slots(art.graph.num_edges());
-  std::vector<NodeId> row;
   for (NodeId u = 0; u < n; ++u) {
-    const std::span<const NodeId> in_row = art.graph.InNeighbors(u);
-    row.assign(in_row.begin(), in_row.end());
-    std::sort(row.begin(), row.end(), [&](NodeId a, NodeId b) {
-      return art.perm[a] < art.perm[b];
-    });
-    for (size_t k = 0; k < row.size(); ++k) {
-      slots[in_offsets[u] + k] = AliasSlot{0, row[k]};
-    }
+    std::sort(in_targets.begin() + in_offsets[u],
+              in_targets.begin() + in_offsets[u + 1],
+              [&](NodeId a, NodeId b) { return art.perm[a] < art.perm[b]; });
   }
-  art.arena = AliasArena::FromParts(std::move(arena_offsets),
-                                    std::move(slots));
+  const Graph view = Graph::FromCsrViews(n, art.graph.OutOffsets(),
+                                         art.graph.OutTargets(), in_offsets,
+                                         in_targets);
+  Graph owned(view);  // a copy materializes the views into owned storage
+  art.graph = std::move(owned);
 
   art.diagonal.resize(n);
   for (NodeId u = 0; u < n; ++u) art.diagonal[u] = diagonal[art.perm[u]];

@@ -10,11 +10,13 @@
 // boundary so callers never see internal ids.
 //
 // Bit-identity across reordering: the per-source RNG key derives from the
-// *external* id (WalkConfig::rng_node), and the on-disk arena rows resolve
-// alias slots in external-id rank order, so every walker makes the same
-// sequence of draws and visits the same external nodes as on the
-// unreordered artifact — walk distributions are exactly identical after id
-// translation. Combines that sum those distributions in internal-id order
+// *external* id, and every in-row of the reordered graph is stored in
+// ascending *external*-id order — the order the unreordered artifact's
+// rows have — so slot k of a row names the same neighbor in both, every
+// walker makes the same sequence of draws and visits the same external
+// nodes as on the unreordered artifact, and walk distributions are exactly
+// identical after id translation (WalkConfig::external_ids carries the
+// permutation to the kernels). Combines that sum those distributions in internal-id order
 // (the pair dot product, the exact-push propagation) reassociate float
 // sums only: equal to within rounding, exact for the endpoint top-k kinds.
 // The one exception is the *sampled*-push single-source combine, whose
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/alias.h"
 #include "engine/walk_backend.h"
 #include "graph/graph.h"
 
@@ -62,11 +63,9 @@ std::vector<NodeId> ComputeLocalityOrder(const Graph& graph,
 /// A graph renumbered for locality, with everything a snapshot write
 /// needs, all in internal (reordered) id space.
 struct ReorderedArtifact {
+  /// The renumbered graph. Out-rows ascend by internal id; in-rows ascend
+  /// by external id (see the bit-identity note above).
   Graph graph;
-  /// Mirrors graph's in-adjacency offsets; row slots resolve in
-  /// *external-id rank* order (see the bit-identity note above), which the
-  /// snapshot writer accepts because only the offsets must mirror.
-  AliasArena arena;
   /// diagonal[internal] = original diagonal[perm[internal]] — permuted
   /// exactly, never re-estimated.
   std::vector<double> diagonal;
@@ -79,11 +78,11 @@ struct ReorderedArtifact {
 StatusOr<ReorderedArtifact> ReorderForLocality(
     const Graph& graph, std::span<const double> diagonal, ReorderKind kind);
 
-/// Decorator that re-keys every walk on the source's external id: sets
-/// WalkConfig::rng_node = perm[source] before delegating, which is the
-/// entire RNG side of the reorder bit-identity argument. Borrows `perm`
-/// (the snapshot's kPermutation span — the facade keeps the snapshot
-/// alive).
+/// Decorator that hands every walk the permutation: sets
+/// WalkConfig::external_ids = perm before delegating, so the inner backend
+/// keys its RNG on the source's external id and reads in-rows in their
+/// external-id order. Borrows `perm` (the snapshot's kPermutation span —
+/// the facade keeps the snapshot alive).
 class ExternalKeyWalkBackend final : public WalkBackend {
  public:
   ExternalKeyWalkBackend(std::shared_ptr<const WalkBackend> inner,
@@ -92,26 +91,24 @@ class ExternalKeyWalkBackend final : public WalkBackend {
 
   WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
                                   WalkStats* stats) const override {
-    return inner_->SimRankLevels(source, Keyed(config, source), stats);
+    return inner_->SimRankLevels(source, Keyed(config), stats);
   }
   SparseVector PprEndpoints(NodeId source, const WalkConfig& config,
                             const PprParams& params,
                             WalkStats* stats) const override {
-    return inner_->PprEndpoints(source, Keyed(config, source), params,
-                                stats);
+    return inner_->PprEndpoints(source, Keyed(config), params, stats);
   }
   WalkDistributions Node2VecLevels(NodeId source, const WalkConfig& config,
                                    const Node2VecParams& params,
                                    WalkStats* stats) const override {
-    return inner_->Node2VecLevels(source, Keyed(config, source), params,
-                                  stats);
+    return inner_->Node2VecLevels(source, Keyed(config), params, stats);
   }
   Status TakeError() const override { return inner_->TakeError(); }
 
  private:
-  WalkConfig Keyed(const WalkConfig& config, NodeId source) const {
+  WalkConfig Keyed(const WalkConfig& config) const {
     WalkConfig keyed = config;
-    keyed.rng_node = perm_[source];
+    keyed.external_ids = perm_;
     return keyed;
   }
 

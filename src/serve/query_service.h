@@ -47,8 +47,8 @@
 //   3. wait-free latency/throughput accounting (ServeStats); latencies
 //      are measured from admission for every requester, dedup waiters
 //      included.
-// Kernel runs themselves go through the wrapped CloudWalker's prebuilt
-// WalkContext, i.e. the batched alias-arena walk engine (DESIGN.md
+// Kernel runs themselves go through the wrapped CloudWalker's walk
+// backend, by default the batched prefetching walk kernel (DESIGN.md
 // section 8) — cache misses pay the fast kernel, not the scalar one.
 //
 // Determinism contract: a request's answer depends only on (effective

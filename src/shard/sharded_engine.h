@@ -4,7 +4,7 @@
 // The engine implements WalkBackend over a ShardPlan: every walk job runs
 // as a sequence of BSP supersteps. In superstep t, each shard worker
 // advances the walkers resident at its owned nodes one level using only
-// its own slice (local CSR / alias rows, the stateless counter draws of
+// its own slice (local CSR rows, the stateless counter draws of
 // the walker's stream); walkers whose next node is owned by another shard
 // are batched into per-destination outboxes. At the level barrier the
 // outboxes are exchanged — each destination drains every peer's outbox
@@ -43,17 +43,13 @@ struct ShardExchangeStats {
   uint64_t remote_row_fetches = 0;  // cross-shard adjacency reads (n2v)
 };
 
-/// The in-process sharded walk backend. Borrows `graph` (and the arena it
-/// was built from), which must outlive the engine; the CloudWalker::Shard
-/// factory pins both.
+/// The in-process sharded walk backend. Borrows `graph`, which must
+/// outlive the engine; the CloudWalker::Shard factory pins it.
 class ShardedWalkEngine final : public WalkBackend {
  public:
   /// Partitions `graph` per `options` and materializes the shard slices.
-  /// `context_or_null` supplies the alias arena mirrored into the slices
-  /// (ignored when options.use_arena is false).
   static StatusOr<std::shared_ptr<const ShardedWalkEngine>> Build(
-      const Graph& graph, const WalkContext* context_or_null,
-      const ShardingOptions& options);
+      const Graph& graph, const ShardingOptions& options);
 
   WalkDistributions SimRankLevels(NodeId source, const WalkConfig& config,
                                   WalkStats* stats) const override;

@@ -63,7 +63,7 @@ PlacementScore ShardPlan::Score(const Graph& graph,
   return score;
 }
 
-ShardPlan ShardPlan::Build(const Graph& graph, const AliasArena* arena,
+ShardPlan ShardPlan::Build(const Graph& graph,
                            const ShardingOptions& options) {
   CW_CHECK_GE(options.num_shards, 1);
 
@@ -109,46 +109,26 @@ ShardPlan ShardPlan::Build(const Graph& graph, const AliasArena* arena,
     slice_edges[static_cast<size_t>(partitioner.Owner(v))] +=
         graph.InDegree(v);
   }
-  const bool copy_arena = options.use_arena && arena != nullptr;
   for (size_t i = 0; i < slices.size(); ++i) {
     ShardSlice& s = slices[i];
     s.offsets.reserve(s.nodes.size() + 1);
     s.offsets.push_back(0);
     s.targets.reserve(slice_edges[i]);
-    if (copy_arena) s.slots.reserve(slice_edges[i]);
   }
 
-  // Second pass: copy each owned node's in-row (and arena row) into its
-  // shard's slice. Targets stay global — the exchange, not the slice,
+  // Second pass: copy each owned node's in-row into its shard's slice. Targets stay global — the exchange, not the slice,
   // resolves ownership of the next node.
   for (size_t i = 0; i < slices.size(); ++i) {
     ShardSlice& s = slices[i];
     for (const NodeId v : s.nodes) {
       const auto row = graph.InNeighbors(v);
       s.targets.insert(s.targets.end(), row.begin(), row.end());
-      if (copy_arena) {
-        const uint64_t off = arena->RowOffset(v);
-        const uint32_t deg = arena->RowDegree(v);
-        CW_CHECK_EQ(static_cast<size_t>(deg), row.size());
-        for (uint32_t k = 0; k < deg; ++k) {
-          s.slots.push_back(arena->slot(off + k));
-        }
-      }
       s.offsets.push_back(s.targets.size());
     }
   }
 
   return ShardPlan(partitioner, std::move(slices), std::move(local_row),
                    chosen_score, other_score);
-}
-
-bool ShardPlan::has_arena_slices() const {
-  for (const ShardSlice& s : slices_) {
-    if (!s.slots.empty()) return true;
-  }
-  // All slices empty of slots: arena-backed only if there are no edges at
-  // all anywhere (then the modes are indistinguishable anyway).
-  return false;
 }
 
 }  // namespace cloudwalker

@@ -23,7 +23,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "engine/alias.h"
+#include "engine/walk.h"
 #include "engine/walk_program.h"
 #include "graph/graph.h"
 
@@ -53,22 +53,12 @@ struct RowLocation {
   uint32_t degree = 0;
 };
 
-/// Uniform in-neighbor pick against flat target/slot arrays, resolved
-/// exactly like the single-node kernel's pass 3 (and its plain-CSR
-/// fallback): with alias slots, the accept test then target or alias;
-/// without, the CSR row directly. In-link rows are uniform, so both
-/// consume `raw` identically — the arena-vs-CSR half of the bit-identity
-/// matrix.
+/// Uniform in-neighbor pick against a flat target array, resolved exactly
+/// like the single-node kernel's pass 2 and 3: the slot PickSlot(raw,
+/// degree) of the located row.
 inline NodeId PickFromRow(std::span<const NodeId> targets,
-                          std::span<const AliasSlot> slots,
                           const RowLocation& loc, uint64_t raw) {
-  const uint32_t slot = AliasArena::PickSlot(raw, loc.degree);
-  if (!slots.empty()) {
-    const AliasSlot s = slots[loc.offset + slot];
-    return static_cast<uint32_t>(raw) < s.accept ? targets[loc.offset + slot]
-                                                 : s.alias;
-  }
-  return targets[loc.offset + slot];
+  return targets[loc.offset + PickSlot(raw, loc.degree)];
 }
 
 // The three walk programs, restated as shard policies. Every draw below
@@ -137,6 +127,9 @@ struct Node2VecWalkPolicy {
   uint32_t max_trials = 64;
   uint64_t key = 0;
   uint64_t trial_base = 0;  // DeriveSeed(key, kNode2VecTrialChannel)
+  // WalkConfig::external_ids: the order In(prev) ascends in. Empty except
+  // on a locality-reordered graph.
+  std::span<const NodeId> external_ids;
   uint64_t thr_return = 0;
   uint64_t thr_near = 0;
   uint64_t thr_far = 0;
@@ -181,8 +174,7 @@ struct Node2VecWalkPolicy {
       uint64_t threshold;
       if (candidate == prev) {
         threshold = thr_return;
-      } else if (std::binary_search(in_prev.begin(), in_prev.end(),
-                                    candidate)) {
+      } else if (InRowContains(in_prev, candidate, external_ids)) {
         threshold = thr_near;
       } else {
         threshold = thr_far;

@@ -22,12 +22,11 @@ namespace cloudwalker {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'W', 'S', 'N', 'A', 'P', '1', '\0'};
-constexpr uint32_t kFormatVersion = 1;
 constexpr uint32_t kEndianStamp = 0x01020304u;
 constexpr uint64_t kHeaderBytes = 64;
 constexpr uint64_t kDirEntryBytes = 32;
 constexpr uint64_t kSectionAlign = 64;
-constexpr uint32_t kNumSections = 8;       // required sections, ids 1..8
+constexpr uint32_t kNumSections = 6;  // required sections, ids 1-4, 7, 8
 constexpr uint32_t kNumKnownSections = 10;  // + optional block index, perm
 
 struct DirEntry {
@@ -40,7 +39,13 @@ struct DirEntry {
 };
 static_assert(sizeof(DirEntry) == kDirEntryBytes);
 
+// Ids 5 and 6: format 1's alias arena, retired (never reused, never
+// mapped).
+bool IsRetiredSection(uint32_t id) { return id == 5 || id == 6; }
+
 const char* SectionName(uint32_t id) {
+  if (id == 5) return "arena_offsets";
+  if (id == 6) return "arena_slots";
   switch (static_cast<SnapshotSection>(id)) {
     case SnapshotSection::kOutOffsets:
       return "out_offsets";
@@ -50,10 +55,6 @@ const char* SectionName(uint32_t id) {
       return "in_offsets";
     case SnapshotSection::kInTargets:
       return "in_targets";
-    case SnapshotSection::kArenaOffsets:
-      return "arena_offsets";
-    case SnapshotSection::kArenaSlots:
-      return "arena_slots";
     case SnapshotSection::kDiagonal:
       return "diagonal";
     case SnapshotSection::kMeta:
@@ -113,7 +114,8 @@ Status Corrupt(const std::string& path, const std::string& what) {
 }
 
 // The SnapshotSections group a payload section belongs to. 0 means the
-// section (metadata) is validated under every mask.
+// section (metadata, extensions, retired and unknown ids) is validated
+// under every mask.
 uint32_t SectionGroup(uint32_t id) {
   switch (static_cast<SnapshotSection>(id)) {
     case SnapshotSection::kOutOffsets:
@@ -122,9 +124,6 @@ uint32_t SectionGroup(uint32_t id) {
     case SnapshotSection::kInOffsets:
     case SnapshotSection::kInTargets:
       return kSnapshotIn;
-    case SnapshotSection::kArenaOffsets:
-    case SnapshotSection::kArenaSlots:
-      return kSnapshotArena;
     case SnapshotSection::kDiagonal:
       return kSnapshotDiagonal;
     case SnapshotSection::kMeta:
@@ -199,15 +198,20 @@ Status VerifyWrittenFile(const std::string& tmp, uint64_t expect_size,
 
 }  // namespace
 
-Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
-                             const AliasArena& arena,
-                             const DiagonalIndex& index,
-                             const SnapshotMetadata& metadata) {
-  return Write(path, graph, arena, index, metadata, SnapshotWriteOptions{});
+Status Format1ReorderedError(const std::string& path) {
+  return Status::InvalidArgument(
+      "snapshot " + path +
+      " is a locality-reordered format-1 file; its walk order lived in the "
+      "retired alias arena — re-write it with this version");
 }
 
 Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
-                             const AliasArena& arena,
+                             const DiagonalIndex& index,
+                             const SnapshotMetadata& metadata) {
+  return Write(path, graph, index, metadata, SnapshotWriteOptions{});
+}
+
+Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
                              const DiagonalIndex& index,
                              const SnapshotMetadata& metadata,
                              const SnapshotWriteOptions& options) {
@@ -219,12 +223,6 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
         " nodes but the graph has " + std::to_string(n));
   }
   CW_RETURN_IF_ERROR(index.params().Validate());
-  if (arena.num_rows() != graph.num_nodes() || arena.num_slots() != m ||
-      std::memcmp(arena.Offsets().data(), graph.InOffsets().data(),
-                  (n + 1) * sizeof(uint64_t)) != 0) {
-    return Status::InvalidArgument(
-        "snapshot: alias arena does not mirror the graph's in-adjacency");
-  }
   if (!options.permutation.empty()) {
     if (options.permutation.size() != n) {
       return Status::InvalidArgument(
@@ -259,10 +257,6 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
        graph.InOffsets().data(), (n + 1) * sizeof(uint64_t)},
       {SnapshotSection::kInTargets, sizeof(NodeId), graph.InTargets().data(),
        m * sizeof(NodeId)},
-      {SnapshotSection::kArenaOffsets, sizeof(uint64_t),
-       arena.Offsets().data(), (n + 1) * sizeof(uint64_t)},
-      {SnapshotSection::kArenaSlots, sizeof(AliasSlot), arena.Slots().data(),
-       m * sizeof(AliasSlot)},
       {SnapshotSection::kDiagonal, sizeof(double), index.diagonal().data(),
        n * sizeof(double)},
       {SnapshotSection::kMeta, 1, meta_bytes.data(), meta_bytes.size()},
@@ -272,8 +266,7 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
     const uint64_t target =
         options.block_bytes != 0 ? options.block_bytes : kDefaultBlockBytes;
     block_index_bytes = EncodeBlockIndex(
-        BuildBlockLayout(graph.InOffsets(), graph.InTargets(), arena.Slots(),
-                         target),
+        BuildBlockLayout(graph.InOffsets(), graph.InTargets(), target),
         target);
     payloads.push_back({SnapshotSection::kBlockIndex, 1,
                         block_index_bytes.data(), block_index_bytes.size()});
@@ -304,7 +297,7 @@ Status SnapshotWriter::Write(const std::string& path, const Graph& graph,
   // zeroed) plus the directory, so any stray flip in either is caught.
   BinaryWriter header;
   header.WriteBytes(kMagic, sizeof(kMagic));
-  header.Write(kFormatVersion);
+  header.Write(kSnapshotFormatVersion);
   header.Write(kEndianStamp);
   header.Write(num_sections);
   header.Write<uint32_t>(0);  // CRC placeholder
@@ -447,7 +440,7 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   std::memcpy(&file_size, data_ + 24, 8);
   std::memcpy(&n64, data_ + 32, 8);
   std::memcpy(&m64, data_ + 40, 8);
-  if (version != kFormatVersion) {
+  if (version != 1 && version != kSnapshotFormatVersion) {
     return Status::InvalidArgument("unsupported snapshot version " +
                                    std::to_string(version) + " in " + path);
   }
@@ -558,8 +551,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
       {SnapshotSection::kOutTargets, sizeof(NodeId), m},
       {SnapshotSection::kInOffsets, sizeof(uint64_t), n + 1},
       {SnapshotSection::kInTargets, sizeof(NodeId), m},
-      {SnapshotSection::kArenaOffsets, sizeof(uint64_t), n + 1},
-      {SnapshotSection::kArenaSlots, sizeof(AliasSlot), m},
       {SnapshotSection::kDiagonal, sizeof(double), n},
       {SnapshotSection::kMeta, 1, 0},
   };
@@ -590,10 +581,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
       found[static_cast<uint32_t>(SnapshotSection::kInOffsets) - 1];
   const DirEntry* e_in_tgt =
       found[static_cast<uint32_t>(SnapshotSection::kInTargets) - 1];
-  const DirEntry* e_ar_off =
-      found[static_cast<uint32_t>(SnapshotSection::kArenaOffsets) - 1];
-  const DirEntry* e_ar_slot =
-      found[static_cast<uint32_t>(SnapshotSection::kArenaSlots) - 1];
   const DirEntry* e_diag =
       found[static_cast<uint32_t>(SnapshotSection::kDiagonal) - 1];
   const DirEntry* e_meta =
@@ -610,12 +597,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
                    n + 1};
     in_targets_ = {reinterpret_cast<const NodeId*>(section_ptr(e_in_tgt)),
                    m};
-  }
-  if ((sections & kSnapshotArena) != 0) {
-    arena_offsets_ = {
-        reinterpret_cast<const uint64_t*>(section_ptr(e_ar_off)), n + 1};
-    arena_slots_ = {
-        reinterpret_cast<const AliasSlot*>(section_ptr(e_ar_slot)), m};
   }
   if ((sections & kSnapshotDiagonal) != 0) {
     diagonal_ = {reinterpret_cast<const double*>(section_ptr(e_diag)), n};
@@ -636,19 +617,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
       ((sections & kSnapshotIn) != 0 && !offsets_ok(in_offsets_))) {
     return Corrupt(path, "CSR offsets are not monotone over [0, num_edges]");
   }
-  if ((sections & kSnapshotArena) != 0) {
-    if ((sections & kSnapshotIn) != 0) {
-      if (std::memcmp(arena_offsets_.data(), in_offsets_.data(),
-                      (n + 1) * sizeof(uint64_t)) != 0) {
-        return Corrupt(path, "alias arena offsets diverge from the in-CSR");
-      }
-    } else if (!offsets_ok(arena_offsets_)) {
-      // Without the in-CSR to mirror-check against, the arena offsets
-      // must still be independently safe to index with.
-      return Corrupt(path,
-                     "arena offsets are not monotone over [0, num_edges]");
-    }
-  }
   const auto targets_ok = [n, m](std::span<const NodeId> targets) {
     for (uint64_t i = 0; i < m; ++i) {
       if (targets[i] >= n) return false;
@@ -658,13 +626,6 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   if (((sections & kSnapshotOut) != 0 && !targets_ok(out_targets_)) ||
       ((sections & kSnapshotIn) != 0 && !targets_ok(in_targets_))) {
     return Corrupt(path, "edge target out of node range");
-  }
-  if ((sections & kSnapshotArena) != 0) {
-    for (uint64_t i = 0; i < m; ++i) {
-      if (arena_slots_[i].alias >= n) {
-        return Corrupt(path, "alias slot target out of node range");
-      }
-    }
   }
 
   // Optional extension sections (ids 9/10). The CRC pass above already
@@ -698,6 +659,7 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   }
   if (const DirEntry* e_perm =
           found[static_cast<uint32_t>(SnapshotSection::kPermutation) - 1]) {
+    if (version == 1) return Format1ReorderedError(path);
     if (e_perm->elem_size != sizeof(NodeId) ||
         e_perm->length != n * sizeof(NodeId)) {
       return Corrupt(path, "permutation disagrees with the node count");
@@ -722,15 +684,14 @@ Status SnapshotView::Validate(const std::string& path, uint32_t sections) {
   }
 
 #if CW_SNAPSHOT_HAS_MMAP
-  // Serving hint: queries hit the CSR and arena arrays in walker order —
+  // Serving hint: queries hit the CSR arrays in walker order —
   // effectively at random — so flip those extents from the sequential
   // validation hint to MADV_RANDOM. Purely advisory; a failing madvise
   // (see SetSnapshotMadviseFailForTest) never fails the open.
   if (mmapped_) {
     for (const SnapshotSection id :
          {SnapshotSection::kOutOffsets, SnapshotSection::kOutTargets,
-          SnapshotSection::kInOffsets, SnapshotSection::kInTargets,
-          SnapshotSection::kArenaOffsets, SnapshotSection::kArenaSlots}) {
+          SnapshotSection::kInOffsets, SnapshotSection::kInTargets}) {
       const DirEntry* e = found[static_cast<uint32_t>(id) - 1];
       MadviseRange(data_, e->offset, e->length, MADV_RANDOM);
     }
@@ -793,15 +754,19 @@ StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {
     s.crc = e.crc;
     const bool in_file = e.offset <= size && e.length <= size - e.offset;
     s.crc_ok = in_file && Crc32(data + e.offset, e.length) == e.crc;
+    s.retired = IsRetiredSection(e.id);
     if (e.id == static_cast<uint32_t>(SnapshotSection::kBlockIndex)) {
       info.has_block_index = true;
       if (in_file) {
         std::vector<BlockExtent> blocks;
         uint64_t target = 0;
+        uint32_t block_version = 0;
         if (DecodeBlockIndex(std::string(data + e.offset, e.length),
-                             info.num_nodes, info.num_edges, &blocks, &target)
+                             info.num_nodes, info.num_edges, &blocks, &target,
+                             &block_version)
                 .ok()) {
           info.block_count = blocks.size();
+          info.block_index_version = block_version;
         }
       }
     } else if (e.id == static_cast<uint32_t>(SnapshotSection::kPermutation)) {

@@ -75,6 +75,17 @@ TEST(SerializeTest, TruncatedVectorFails) {
   EXPECT_EQ(r.ReadVector(&v).code(), StatusCode::kOutOfRange);
 }
 
+TEST(SerializeTest, OverflowingVectorCountFails) {
+  // 2^61 doubles is 2^64 bytes: the byte count wraps to 0, which a naive
+  // bounds check would accept before resizing to 2^61 elements.
+  BinaryWriter w;
+  w.Write<uint64_t>(uint64_t{1} << 61);
+  BinaryReader r(w.buffer());
+  std::vector<double> v;
+  EXPECT_EQ(r.ReadVector(&v).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(v.empty());
+}
+
 TEST(SerializeTest, TruncatedStringFails) {
   BinaryWriter w;
   w.Write<uint64_t>(99);

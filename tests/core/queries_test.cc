@@ -57,22 +57,29 @@ TEST_F(QueriesTest, SelfPairIsOne) {
   EXPECT_DOUBLE_EQ(SinglePairQuery(*graph_, *index_, 5, 5, BigQuery()), 1.0);
 }
 
-TEST_F(QueriesTest, WalkContextDoesNotChangeAnswers) {
-  // The prebuilt arena is an access-path accelerator only: queries through
-  // a WalkContext must be bit-identical to the plain-CSR path (this is what
-  // lets the CloudWalker facade always pass its context).
+TEST_F(QueriesTest, RetiredWalkContextOverloadsForward) {
+  // The context-taking overloads survive for source compatibility only:
+  // the (empty) context is ignored and answers are bit-identical.
   const QueryOptions q = BigQuery();
-  const WalkContext ctx(*graph_);
-  EXPECT_DOUBLE_EQ(
-      SinglePairQuery(*graph_, *index_, 3, 97, q),
-      SinglePairQuery(*graph_, *index_, 3, 97, q, nullptr, nullptr, &ctx));
+  const WalkContext ctx;
+  EXPECT_EQ(SinglePairQuery(*graph_, *index_, 3, 97, q),
+            SinglePairQuery(*graph_, *index_, 3, 97, q, nullptr, nullptr,
+                            &ctx, nullptr, nullptr));
   const SparseVector plain = SingleSourceQuery(*graph_, *index_, 12, q);
-  const SparseVector with_ctx =
-      SingleSourceQuery(*graph_, *index_, 12, q, nullptr, nullptr, &ctx);
+  const SparseVector with_ctx = SingleSourceQuery(
+      *graph_, *index_, 12, q, nullptr, nullptr, &ctx, nullptr, nullptr);
   ASSERT_EQ(plain.size(), with_ctx.size());
   for (size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i], with_ctx[i]);
   }
+  EXPECT_EQ(PersonalizedPageRankQuery(*graph_, *index_, 12, q).entries(),
+            PersonalizedPageRankQuery(*graph_, *index_, 12, q, nullptr,
+                                      nullptr, &ctx, nullptr, nullptr)
+                .entries());
+  EXPECT_EQ(Node2VecVisitQuery(*graph_, *index_, 12, q).entries(),
+            Node2VecVisitQuery(*graph_, *index_, 12, q, nullptr, nullptr,
+                               &ctx, nullptr, nullptr)
+                .entries());
 }
 
 TEST_F(QueriesTest, PairIsExactlySymmetric) {

@@ -78,88 +78,6 @@ TEST(AliasTableTest, UnnormalizedWeightsEquivalent) {
   EXPECT_NEAR(static_cast<double>(ones) / n, 0.75, 0.01);
 }
 
-TEST(AliasArenaTest, LayoutMirrorsCsrInAdjacency) {
-  const Graph g = GenerateRmat(256, 2048, /*seed=*/11);
-  const AliasArena arena = AliasArena::BuildInLink(g);
-  ASSERT_EQ(arena.num_rows(), g.num_nodes());
-  EXPECT_EQ(arena.num_slots(), g.num_edges());
-  uint64_t offset = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(arena.RowOffset(v), offset);
-    EXPECT_EQ(arena.RowDegree(v), g.InDegree(v));
-    offset += g.InDegree(v);
-  }
-  EXPECT_EQ(arena.MemoryBytes(),
-            (g.num_nodes() + 1) * sizeof(uint64_t) +
-                g.num_edges() * sizeof(AliasSlot));
-}
-
-TEST(AliasArenaTest, UniformSampleMatchesCsrIndexing) {
-  // Uniform rows must resolve every draw to exactly the slot's CSR target
-  // — this is what makes the arena walk path bit-identical to plain CSR
-  // sampling.
-  const Graph g = GenerateErdosRenyi(100, 1200, /*seed=*/12);
-  const AliasArena arena = AliasArena::BuildInLink(g);
-  Xoshiro256 rng(13);
-  for (int i = 0; i < 20000; ++i) {
-    const NodeId v = static_cast<NodeId>(rng.UniformInt32(g.num_nodes()));
-    const uint64_t raw = rng.Next();
-    const uint32_t deg = g.InDegree(v);
-    const NodeId sampled = arena.Sample(g, v, raw);
-    if (deg == 0) {
-      EXPECT_EQ(sampled, kInvalidNode);
-    } else {
-      EXPECT_EQ(sampled, g.InNeighbor(v, AliasArena::PickSlot(raw, deg)));
-    }
-  }
-}
-
-TEST(AliasArenaTest, WeightedFrequenciesMatchEdgeWeights) {
-  // A small dense graph; weight of v's k-th in-edge is k+1, so slot k of a
-  // degree-d row must be drawn with probability (k+1) / (d(d+1)/2).
-  const Graph g = GenerateComplete(6);
-  auto arena = AliasArena::BuildInLinkWeighted(
-      g, [](NodeId, uint32_t k) { return static_cast<double>(k) + 1.0; });
-  ASSERT_TRUE(arena.ok());
-  Xoshiro256 rng(14);
-  const int n = 300000;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const uint32_t deg = g.InDegree(v);
-    std::vector<int> counts(g.num_nodes(), 0);
-    for (int i = 0; i < n; ++i) ++counts[arena->Sample(g, v, rng.Next())];
-    const double total = deg * (deg + 1) / 2.0;
-    for (uint32_t k = 0; k < deg; ++k) {
-      EXPECT_NEAR(static_cast<double>(counts[g.InNeighbor(v, k)]) / n,
-                  (k + 1.0) / total, 0.01)
-          << "node " << v << " slot " << k;
-    }
-  }
-}
-
-TEST(AliasArenaTest, WeightedUniformDegeneratesToUniform) {
-  const Graph g = GenerateErdosRenyi(50, 600, /*seed=*/15);
-  auto arena = AliasArena::BuildInLinkWeighted(
-      g, [](NodeId, uint32_t) { return 2.5; });
-  ASSERT_TRUE(arena.ok());
-  const AliasArena uniform = AliasArena::BuildInLink(g);
-  Xoshiro256 rng(16);
-  for (int i = 0; i < 20000; ++i) {
-    const NodeId v = static_cast<NodeId>(rng.UniformInt32(g.num_nodes()));
-    const uint64_t raw = rng.Next();
-    EXPECT_EQ(arena->Sample(g, v, raw), uniform.Sample(g, v, raw));
-  }
-}
-
-TEST(AliasArenaTest, WeightedRejectsBadRows) {
-  const Graph g = GenerateCycle(4);
-  EXPECT_FALSE(AliasArena::BuildInLinkWeighted(
-                   g, [](NodeId, uint32_t) { return -1.0; })
-                   .ok());
-  EXPECT_FALSE(AliasArena::BuildInLinkWeighted(
-                   g, [](NodeId, uint32_t) { return 0.0; })
-                   .ok());
-}
-
 TEST(AliasTableTest, LargeTableFrequencies) {
   std::vector<double> weights(1000);
   double sum = 0.0;

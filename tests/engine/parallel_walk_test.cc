@@ -1,6 +1,6 @@
 // Bit-identity of the multi-threaded walk executor (DESIGN.md section 12):
-// for every walk program, every thread count, every batch width, arena and
-// CSR sampling alike, ParallelWalkExecutor must reproduce the
+// for every walk program, every thread count and every batch width,
+// ParallelWalkExecutor must reproduce the
 // single-threaded kernel's results *exactly* — the counter RNG keys on
 // global walker ids, never threads, and the merge concatenates raw
 // endpoints before the single aggregation pass. Also covers the facade
@@ -41,14 +41,13 @@ WalkConfig TestConfig(uint32_t batch_width = 256) {
 }
 
 std::shared_ptr<const ParallelWalkExecutor> MakeExecutor(
-    const Graph& graph, const WalkContext* ctx, int threads,
-    uint32_t min_walkers_per_range = 16) {
+    const Graph& graph, int threads, uint32_t min_walkers_per_range = 16) {
   ParallelWalkOptions opts;
   opts.num_threads = threads;
   // Small enough that test-sized batches genuinely split across workers
   // (the split is pure scheduling, so it cannot affect answers).
   opts.min_walkers_per_range = min_walkers_per_range;
-  auto executor = ParallelWalkExecutor::Build(graph, ctx, opts);
+  auto executor = ParallelWalkExecutor::Build(graph, opts);
   EXPECT_TRUE(executor.ok()) << executor.status().message();
   return std::move(executor).value();
 }
@@ -71,27 +70,22 @@ void ExpectSameDistributions(const WalkDistributions& a,
   }
 }
 
-// The tentpole matrix: program x thread count x batch width x arena-vs-CSR
-// sampling, against the single-threaded kernel.
+// The tentpole matrix: program x thread count x batch width, against the
+// single-threaded kernel.
 
 TEST(ParallelWalkTest, SimRankLevelsMatchSingleThreadAcrossMatrix) {
   const Graph g = GenerateRmat(400, 3200, /*seed=*/5);
-  const WalkContext ctx(g);
   for (const uint32_t width : {1u, 32u, 256u}) {
     const WalkConfig cfg = TestConfig(width);
-    for (const bool arena : {true, false}) {
-      const WalkContext* use_ctx = arena ? &ctx : nullptr;
-      for (const NodeId source : {0u, 17u, 399u}) {
-        const WalkDistributions single =
-            SimulateWalkDistributions(g, use_ctx, source, cfg);
-        for (const int threads : kThreadCounts) {
-          const auto executor = MakeExecutor(g, use_ctx, threads);
-          ExpectSameDistributions(
-              single, executor->SimRankLevels(source, cfg, nullptr),
-              "source " + std::to_string(source) + " threads " +
-                  std::to_string(threads) + " arena " +
-                  std::to_string(arena) + " width " + std::to_string(width));
-        }
+    for (const NodeId source : {0u, 17u, 399u}) {
+      const WalkDistributions single =
+          SimulateWalkDistributions(g, source, cfg);
+      for (const int threads : kThreadCounts) {
+        const auto executor = MakeExecutor(g, threads);
+        ExpectSameDistributions(
+            single, executor->SimRankLevels(source, cfg, nullptr),
+            "source " + std::to_string(source) + " threads " +
+                std::to_string(threads) + " width " + std::to_string(width));
       }
     }
   }
@@ -99,25 +93,20 @@ TEST(ParallelWalkTest, SimRankLevelsMatchSingleThreadAcrossMatrix) {
 
 TEST(ParallelWalkTest, PprEndpointsMatchSingleThreadAcrossMatrix) {
   const Graph g = GenerateRmat(400, 3200, /*seed=*/5);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   PprParams params;
   for (const double alpha : {0.5, 0.85}) {
     params.alpha = alpha;
-    for (const bool arena : {true, false}) {
-      const WalkContext* use_ctx = arena ? &ctx : nullptr;
-      for (const NodeId source : {3u, 211u}) {
-        const SparseVector single =
-            SimulatePprEndpoints(g, use_ctx, source, cfg, params);
-        for (const int threads : kThreadCounts) {
-          const auto executor = MakeExecutor(g, use_ctx, threads);
-          ExpectSameVector(
-              single, executor->PprEndpoints(source, cfg, params, nullptr),
-              "alpha " + std::to_string(alpha) + " source " +
-                  std::to_string(source) + " threads " +
-                  std::to_string(threads) + " arena " +
-                  std::to_string(arena));
-        }
+    for (const NodeId source : {3u, 211u}) {
+      const SparseVector single =
+          SimulatePprEndpoints(g, source, cfg, params);
+      for (const int threads : kThreadCounts) {
+        const auto executor = MakeExecutor(g, threads);
+        ExpectSameVector(
+            single, executor->PprEndpoints(source, cfg, params, nullptr),
+            "alpha " + std::to_string(alpha) + " source " +
+                std::to_string(source) + " threads " +
+                std::to_string(threads));
       }
     }
   }
@@ -125,36 +114,31 @@ TEST(ParallelWalkTest, PprEndpointsMatchSingleThreadAcrossMatrix) {
 
 TEST(ParallelWalkTest, Node2VecLevelsMatchSingleThreadAcrossMatrix) {
   const Graph g = GenerateRmat(300, 2400, /*seed=*/11);
-  const WalkContext ctx(g);
   WalkConfig cfg = TestConfig();
   cfg.num_walkers = 200;
   Node2VecParams params;
   params.return_p = 0.5;
   params.in_out_q = 2.0;
-  for (const bool arena : {true, false}) {
-    const WalkContext* use_ctx = arena ? &ctx : nullptr;
-    for (const NodeId source : {1u, 120u, 299u}) {
-      const WalkDistributions single =
-          SimulateNode2VecVisits(g, use_ctx, source, cfg, params);
-      for (const int threads : kThreadCounts) {
-        const auto executor = MakeExecutor(g, use_ctx, threads);
-        ExpectSameDistributions(
-            single, executor->Node2VecLevels(source, cfg, params, nullptr),
-            "source " + std::to_string(source) + " threads " +
-                std::to_string(threads) + " arena " + std::to_string(arena));
-      }
+  for (const NodeId source : {1u, 120u, 299u}) {
+    const WalkDistributions single =
+        SimulateNode2VecVisits(g, source, cfg, params);
+    for (const int threads : kThreadCounts) {
+      const auto executor = MakeExecutor(g, threads);
+      ExpectSameDistributions(
+          single, executor->Node2VecLevels(source, cfg, params, nullptr),
+          "source " + std::to_string(source) + " threads " +
+              std::to_string(threads));
     }
   }
 }
 
 TEST(ParallelWalkTest, WalkStatsAggregateAcrossRanges) {
   const Graph g = GenerateRmat(300, 2400, /*seed=*/8);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   WalkStats single_stats;
-  (void)SimulateWalkDistributions(g, &ctx, 7, cfg, /*scratch=*/nullptr,
+  (void)SimulateWalkDistributions(g, 7, cfg, /*scratch=*/nullptr,
                                   /*owner=*/nullptr, &single_stats);
-  const auto executor = MakeExecutor(g, &ctx, 4);
+  const auto executor = MakeExecutor(g, 4);
   WalkStats parallel_stats;
   (void)executor->SimRankLevels(7, cfg, &parallel_stats);
   EXPECT_EQ(single_stats.steps, parallel_stats.steps);
@@ -164,12 +148,10 @@ TEST(ParallelWalkTest, TinyBatchesFallBackToTheSerialPath) {
   // 300 walkers with the default 256-walker range floor is a single range
   // at any thread count; the executor must run it inline and still match.
   const Graph g = GenerateRmat(200, 1600, /*seed=*/3);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
-  const auto executor =
-      MakeExecutor(g, &ctx, 8, /*min_walkers_per_range=*/256);
+  const auto executor = MakeExecutor(g, 8, /*min_walkers_per_range=*/256);
   EXPECT_EQ(executor->num_threads(), 8);
-  ExpectSameDistributions(SimulateWalkDistributions(g, &ctx, 9, cfg),
+  ExpectSameDistributions(SimulateWalkDistributions(g, 9, cfg),
                           executor->SimRankLevels(9, cfg, nullptr),
                           "serial fallback");
 }
@@ -255,19 +237,18 @@ TEST(ParallelWalkTest, AllSixQueryKindsBitIdenticalThroughParallelize) {
 // same thread matrix must stay bit-identical through ShardingOptions.
 TEST(ParallelWalkTest, ShardedPhaseAThreadMatrixBitIdentical) {
   const Graph g = GenerateRmat(300, 2400, /*seed=*/8);
-  const WalkContext ctx(g);
   const WalkConfig cfg = TestConfig();
   PprParams ppr;
   for (const NodeId source : {0u, 150u, 299u}) {
     const WalkDistributions single =
-        SimulateWalkDistributions(g, &ctx, source, cfg);
+        SimulateWalkDistributions(g, source, cfg);
     const SparseVector single_ppr =
-        SimulatePprEndpoints(g, &ctx, source, cfg, ppr);
+        SimulatePprEndpoints(g, source, cfg, ppr);
     for (const int threads : kThreadCounts) {
       ShardingOptions opts;
       opts.num_shards = 4;
       opts.num_threads = threads;
-      auto engine = ShardedWalkEngine::Build(g, &ctx, opts);
+      auto engine = ShardedWalkEngine::Build(g, opts);
       ASSERT_TRUE(engine.ok()) << engine.status().message();
       const std::string what = "source " + std::to_string(source) +
                                " phase-A threads " + std::to_string(threads);
@@ -284,10 +265,10 @@ TEST(ParallelWalkTest, BuildRejectsInvalidOptions) {
   const Graph g = GenerateCycle(8);
   ParallelWalkOptions opts;
   opts.num_threads = -1;
-  EXPECT_FALSE(ParallelWalkExecutor::Build(g, nullptr, opts).ok());
+  EXPECT_FALSE(ParallelWalkExecutor::Build(g, opts).ok());
   opts.num_threads = 2;
   opts.min_walkers_per_range = 0;
-  EXPECT_FALSE(ParallelWalkExecutor::Build(g, nullptr, opts).ok());
+  EXPECT_FALSE(ParallelWalkExecutor::Build(g, opts).ok());
 }
 
 TEST(ParallelWalkTest, ParallelizeRejectsNullBase) {

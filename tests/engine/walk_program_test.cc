@@ -1,13 +1,14 @@
 // Determinism and distribution contracts of the non-SimRank walk programs
 // (DESIGN.md section 10): personalized PageRank endpoints and second-order
 // node2vec visits must be bit-identical across batch widths, scratch
-// reuse, and the arena vs plain-CSR code paths, and must conserve the
-// walker mass their semantics promise.
+// reuse, and locality renumbering, and must conserve the walker mass their
+// semantics promise.
 
 #include "engine/walk_program.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "ooc/reorder.h"
 
 namespace cloudwalker {
 namespace {
@@ -52,31 +54,15 @@ double Mass(const SparseVector& v) {
   return total;
 }
 
-TEST(PprProgramTest, ArenaPathMatchesPlainCsrPath) {
-  const Graph g = GenerateRmat(512, 4096, /*seed=*/3);
-  const WalkContext ctx(g);
-  const WalkConfig cfg = TestConfig();
-  PprParams params;
-  for (NodeId source : {0u, 17u, 300u, 511u}) {
-    const SparseVector with_arena =
-        SimulatePprEndpoints(g, &ctx, source, cfg, params);
-    const SparseVector plain =
-        SimulatePprEndpoints(g, nullptr, source, cfg, params);
-    ExpectSameVector(with_arena, plain,
-                     "source " + std::to_string(source));
-  }
-}
-
 TEST(PprProgramTest, BitIdenticalAcrossBatchWidthsAndScratchReuse) {
   const Graph g = GenerateRmat(1024, 8192, /*seed=*/4);
-  const WalkContext ctx(g);
   PprParams params;
-  const SparseVector narrow = SimulatePprEndpoints(
-      g, &ctx, 42, TestConfig(/*batch_width=*/1), params);
+  const SparseVector narrow =
+      SimulatePprEndpoints(g, 42, TestConfig(/*batch_width=*/1), params);
   WalkScratch scratch;
   for (uint32_t width : {3u, 64u, 256u, 100000u /* clamped */}) {
-    const SparseVector wide = SimulatePprEndpoints(
-        g, &ctx, 42, TestConfig(width), params, &scratch);
+    const SparseVector wide =
+        SimulatePprEndpoints(g, 42, TestConfig(width), params, &scratch);
     ExpectSameVector(narrow, wide, "width " + std::to_string(width));
   }
 }
@@ -87,8 +73,7 @@ TEST(PprProgramTest, EndpointMassIsOneWithoutDanglingNodes) {
   const Graph g = GenerateCycle(64);
   const WalkConfig cfg = TestConfig();
   PprParams params;
-  const SparseVector endpoints =
-      SimulatePprEndpoints(g, nullptr, 5, cfg, params);
+  const SparseVector endpoints = SimulatePprEndpoints(g, 5, cfg, params);
   EXPECT_NEAR(Mass(endpoints), 1.0, 1e-12);
 }
 
@@ -100,8 +85,7 @@ TEST(PprProgramTest, SmallAlphaConcentratesMassAtTheSource) {
   cfg.num_walkers = 2000;
   PprParams params;
   params.alpha = 0.05;
-  const SparseVector endpoints =
-      SimulatePprEndpoints(g, nullptr, 7, cfg, params);
+  const SparseVector endpoints = SimulatePprEndpoints(g, 7, cfg, params);
   EXPECT_GT(endpoints.Get(7), 0.85);
 }
 
@@ -111,40 +95,73 @@ TEST(PprProgramTest, DifferentAlphaDifferentDistribution) {
   PprParams low, high;
   low.alpha = 0.2;
   high.alpha = 0.95;
-  const SparseVector a = SimulatePprEndpoints(g, nullptr, 7, cfg, low);
-  const SparseVector b = SimulatePprEndpoints(g, nullptr, 7, cfg, high);
+  const SparseVector a = SimulatePprEndpoints(g, 7, cfg, low);
+  const SparseVector b = SimulatePprEndpoints(g, 7, cfg, high);
   EXPECT_GT(a.Get(7), b.Get(7));
 }
 
-TEST(Node2VecProgramTest, ArenaPathMatchesPlainCsrPath) {
-  const Graph g = GenerateRmat(512, 4096, /*seed=*/3);
-  const WalkContext ctx(g);
-  const WalkConfig cfg = TestConfig();
+// Re-indexes a distribution of the renumbered graph into external ids.
+SparseVector ToExternal(const SparseVector& v,
+                        const std::vector<NodeId>& perm) {
+  std::vector<SparseEntry> entries;
+  for (const SparseEntry& e : v) {
+    entries.push_back(SparseEntry{perm[e.index], e.value});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const SparseEntry& a, const SparseEntry& b) {
+              return a.index < b.index;
+            });
+  return SparseVector::FromSorted(std::move(entries));
+}
+
+// A locality-renumbered graph stores in-rows in external-id order; with
+// WalkConfig::external_ids set, every program walks it exactly as it walks
+// the original — including node2vec's In(prev) membership test, which
+// then searches rows that do not ascend by internal id.
+TEST(Node2VecProgramTest, RenumberedGraphWalksLikeTheOriginal) {
+  const Graph g = GenerateRmat(300, 2400, /*seed=*/11);
+  const std::vector<double> diagonal(g.num_nodes(), 0.5);
+  auto art = ReorderForLocality(g, diagonal, ReorderKind::kBfs);
+  ASSERT_TRUE(art.ok()) << art.status().ToString();
+  std::vector<NodeId> to_internal(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) to_internal[art->perm[u]] = u;
+  WalkConfig reordered = TestConfig();
+  reordered.external_ids = art->perm;
   Node2VecParams params;
   params.return_p = 0.5;
   params.in_out_q = 2.0;
-  for (NodeId source : {0u, 17u, 300u, 511u}) {
-    const WalkDistributions with_arena =
-        SimulateNode2VecVisits(g, &ctx, source, cfg, params);
-    const WalkDistributions plain =
-        SimulateNode2VecVisits(g, nullptr, source, cfg, params);
-    ExpectSameDistributions(with_arena, plain,
-                            "source " + std::to_string(source));
+  for (const NodeId source : {0u, 17u, 299u}) {
+    const NodeId internal = to_internal[source];
+    const std::string what = "source " + std::to_string(source);
+    const WalkDistributions want =
+        SimulateNode2VecVisits(g, source, TestConfig(), params);
+    const WalkDistributions got = SimulateNode2VecVisits(
+        art->graph, internal, reordered, params);
+    ASSERT_EQ(want.num_levels(), got.num_levels());
+    for (size_t t = 0; t < want.num_levels(); ++t) {
+      ExpectSameVector(want.levels[t], ToExternal(got.levels[t], art->perm),
+                       what + " level " + std::to_string(t));
+    }
+    ExpectSameVector(
+        SimulatePprEndpoints(g, source, TestConfig(), PprParams{}),
+        ToExternal(SimulatePprEndpoints(art->graph, internal, reordered,
+                                        PprParams{}),
+                   art->perm),
+        what + " ppr");
   }
 }
 
 TEST(Node2VecProgramTest, BitIdenticalAcrossBatchWidthsAndScratchReuse) {
   const Graph g = GenerateRmat(1024, 8192, /*seed=*/4);
-  const WalkContext ctx(g);
   Node2VecParams params;
   params.return_p = 0.25;
   params.in_out_q = 4.0;
-  const WalkDistributions narrow = SimulateNode2VecVisits(
-      g, &ctx, 42, TestConfig(/*batch_width=*/1), params);
+  const WalkDistributions narrow =
+      SimulateNode2VecVisits(g, 42, TestConfig(/*batch_width=*/1), params);
   WalkScratch scratch;
   for (uint32_t width : {3u, 64u, 256u, 100000u /* clamped */}) {
-    const WalkDistributions wide = SimulateNode2VecVisits(
-        g, &ctx, 42, TestConfig(width), params, &scratch);
+    const WalkDistributions wide =
+        SimulateNode2VecVisits(g, 42, TestConfig(width), params, &scratch);
     ExpectSameDistributions(narrow, wide, "width " + std::to_string(width));
   }
 }
@@ -158,7 +175,7 @@ TEST(Node2VecProgramTest, UnitParametersMatchTheCanonicalUniformWalk) {
   const Graph g = GenerateCycle(32);
   const WalkConfig cfg = TestConfig();
   const WalkDistributions n2v =
-      SimulateNode2VecVisits(g, nullptr, 3, cfg, Node2VecParams{});
+      SimulateNode2VecVisits(g, 3, cfg, Node2VecParams{});
   const WalkDistributions simrank = SimulateWalkDistributions(g, 3, cfg);
   ExpectSameDistributions(n2v, simrank, "cycle");
 }
@@ -168,8 +185,7 @@ TEST(Node2VecProgramTest, LevelMassIsOneWithoutDanglingNodes) {
   const WalkConfig cfg = TestConfig();
   Node2VecParams params;
   params.return_p = 0.5;
-  const WalkDistributions dists =
-      SimulateNode2VecVisits(g, nullptr, 8, cfg, params);
+  const WalkDistributions dists = SimulateNode2VecVisits(g, 8, cfg, params);
   for (size_t t = 0; t < dists.num_levels(); ++t) {
     EXPECT_NEAR(Mass(dists.levels[t]), 1.0, 1e-12) << "level " << t;
   }
@@ -192,10 +208,8 @@ TEST(Node2VecProgramTest, SmallReturnPKeepsWalkersOscillating) {
   cfg.num_walkers = 4000;
   Node2VecParams returny, uniform;
   returny.return_p = 0.01;
-  const WalkDistributions r =
-      SimulateNode2VecVisits(g, nullptr, 9, cfg, returny);
-  const WalkDistributions u =
-      SimulateNode2VecVisits(g, nullptr, 9, cfg, uniform);
+  const WalkDistributions r = SimulateNode2VecVisits(g, 9, cfg, returny);
+  const WalkDistributions u = SimulateNode2VecVisits(g, 9, cfg, uniform);
   EXPECT_GT(r.levels[2].Get(9), 0.8);
   EXPECT_GT(r.levels[2].Get(9), 2.0 * u.levels[2].Get(9));
 }
@@ -209,7 +223,7 @@ TEST(Node2VecProgramTest, WalkersDieAtDanglingNodesUnderKDie) {
   const Graph g = std::move(builder.Build()).value();
   WalkConfig cfg = TestConfig();
   const WalkDistributions dists =
-      SimulateNode2VecVisits(g, nullptr, 0, cfg, Node2VecParams{});
+      SimulateNode2VecVisits(g, 0, cfg, Node2VecParams{});
   EXPECT_NEAR(Mass(dists.levels[1]), 1.0, 1e-12);
   EXPECT_EQ(dists.levels[2].size(), 0u);
 }
@@ -221,7 +235,7 @@ TEST(Node2VecProgramTest, SelfLoopPolicyKeepsWalkersAlive) {
   WalkConfig cfg = TestConfig();
   cfg.dangling = DanglingPolicy::kSelfLoop;
   const WalkDistributions dists =
-      SimulateNode2VecVisits(g, nullptr, 0, cfg, Node2VecParams{});
+      SimulateNode2VecVisits(g, 0, cfg, Node2VecParams{});
   for (size_t t = 1; t < dists.num_levels(); ++t) {
     EXPECT_NEAR(Mass(dists.levels[t]), 1.0, 1e-12) << "level " << t;
   }

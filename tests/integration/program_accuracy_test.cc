@@ -63,7 +63,7 @@ TEST(PprAccuracyTest, MatchesTruncatedPowerIterationReference) {
   }
 
   const SparseVector endpoints =
-      SimulatePprEndpoints(g, nullptr, /*source=*/5, cfg, params);
+      SimulatePprEndpoints(g, /*source=*/5, cfg, params);
   EXPECT_LT(L1(Dense(endpoints, n), reference), 0.05);
 }
 
@@ -91,7 +91,7 @@ TEST(PprAccuracyTest, AlphaSweepStaysWithinTheBound) {
     PprParams params;
     params.alpha = alpha;
     const SparseVector endpoints =
-        SimulatePprEndpoints(g, nullptr, /*source=*/2, cfg, params);
+        SimulatePprEndpoints(g, /*source=*/2, cfg, params);
     EXPECT_LT(L1(Dense(endpoints, n), reference), 0.05) << "alpha " << alpha;
   }
 }
@@ -182,7 +182,7 @@ TEST(Node2VecAccuracyTest, MatchesClosedFormSecondOrderChain) {
   const auto exact = ExactNode2VecLevels(g, /*source=*/4, cfg.num_steps,
                                          params.return_p, params.in_out_q);
   const WalkDistributions empirical =
-      SimulateNode2VecVisits(g, nullptr, /*source=*/4, cfg, params);
+      SimulateNode2VecVisits(g, /*source=*/4, cfg, params);
   ASSERT_EQ(empirical.num_levels(), exact.size());
   for (size_t t = 0; t < exact.size(); ++t) {
     EXPECT_LT(L1(Dense(empirical.levels[t], n), exact[t]), 0.05)
@@ -203,7 +203,7 @@ TEST(Node2VecAccuracyTest, UnitParametersReduceToTheFirstOrderChain) {
   const WalkDistributions exact =
       ExactWalkDistributions(g, /*source=*/1, cfg.num_steps);
   const WalkDistributions empirical =
-      SimulateNode2VecVisits(g, nullptr, /*source=*/1, cfg, Node2VecParams{});
+      SimulateNode2VecVisits(g, /*source=*/1, cfg, Node2VecParams{});
   ASSERT_EQ(empirical.num_levels(), exact.num_levels());
   for (size_t t = 0; t < exact.num_levels(); ++t) {
     EXPECT_LT(L1(Dense(empirical.levels[t], n), Dense(exact.levels[t], n)),

@@ -1,21 +1,28 @@
 // BlockCache (ooc/block_cache.h): budget enforcement, LRU eviction order,
-// pin leases, the overflow escape hatch, counters, and content fidelity
-// against direct PagedSnapshot reads — single-threaded and concurrent.
+// pin leases, the overflow escape hatch, counters, content fidelity
+// against direct PagedSnapshot reads — single-threaded and concurrent —
+// and page-in faults (a damaged or truncated block) surfacing as the
+// query's error.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/cloudwalker.h"
+#include "core/request.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "ooc/block_cache.h"
+#include "ooc/ooc_backend.h"
 #include "ooc/paged_snapshot.h"
+#include "serve/query_service.h"
 #include "snapshot/snapshot.h"
 
 namespace cloudwalker {
@@ -25,8 +32,8 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// One many-block snapshot shared by every test: block_bytes=4096 over
-// ~5000 in-edges (12 bytes each) yields ~15 blocks.
+// One many-block snapshot shared by every test: block_bytes=1024 over
+// ~5000 in-edges (4 bytes each) yields ~20 blocks.
 class BlockCacheTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -39,10 +46,10 @@ class BlockCacheTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     path_ = new std::string(TempPath("cache_fixture.cwk"));
     SnapshotWriteOptions write_options;
-    write_options.block_bytes = 4096;
-    const Status s = SnapshotWriter::Write(
-        *path_, (*built)->graph(), (*built)->walk_context().arena(),
-        (*built)->index(), SnapshotMetadata{}, write_options);
+    write_options.block_bytes = 1024;
+    const Status s =
+        SnapshotWriter::Write(*path_, (*built)->graph(), (*built)->index(),
+                              SnapshotMetadata{}, write_options);
     ASSERT_TRUE(s.ok()) << s.ToString();
     auto paged = PagedSnapshot::Open(*path_);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
@@ -180,15 +187,12 @@ TEST_F(BlockCacheTest, LeaseContentMatchesDirectRead) {
   for (uint32_t b = 0; b < snapshot()->blocks().size(); ++b) {
     const BlockExtent& extent = snapshot()->blocks()[b];
     std::vector<NodeId> targets(extent.num_edges());
-    std::vector<AliasSlot> slots(extent.num_edges());
-    ASSERT_TRUE(snapshot()->ReadBlock(b, targets.data(), slots.data()).ok());
+    ASSERT_TRUE(snapshot()->ReadBlock(b, targets.data()).ok());
     auto lease = (*cache)->Acquire(b);
     ASSERT_TRUE(lease.ok());
     EXPECT_EQ(lease->base(), extent.edge_begin);
     EXPECT_EQ(0, std::memcmp(lease->targets(), targets.data(),
                              targets.size() * sizeof(NodeId)));
-    EXPECT_EQ(0, std::memcmp(lease->slots(), slots.data(),
-                             slots.size() * sizeof(AliasSlot)));
   }
 }
 
@@ -213,8 +217,7 @@ TEST_F(BlockCacheTest, ConcurrentAcquiresStayCorrectAndWithinBudget) {
         // Spot-check one element against the authoritative read.
         const BlockExtent& extent = raw->snapshot().blocks()[b];
         std::vector<NodeId> targets(extent.num_edges());
-        std::vector<AliasSlot> slots(extent.num_edges());
-        if (!raw->snapshot().ReadBlock(b, targets.data(), slots.data()).ok() ||
+        if (!raw->snapshot().ReadBlock(b, targets.data()).ok() ||
             std::memcmp(lease->targets(), targets.data(),
                         targets.size() * sizeof(NodeId)) != 0) {
           failures.fetch_add(1);
@@ -246,7 +249,6 @@ TEST_F(BlockCacheTest, AllResidentFallbackServesWithoutReads) {
   SnapshotWriteOptions write_options;
   write_options.write_block_index = false;
   ASSERT_TRUE(SnapshotWriter::Write(old_path, (*built)->graph(),
-                                    (*built)->walk_context().arena(),
                                     (*built)->index(), SnapshotMetadata{},
                                     write_options)
                   .ok());
@@ -267,6 +269,107 @@ TEST_F(BlockCacheTest, AllResidentFallbackServesWithoutReads) {
   EXPECT_EQ(c.bytes_read, 0u);
   EXPECT_EQ(c.bytes_resident, (*paged)->paged_bytes());
   std::remove(old_path.c_str());
+}
+
+// Page-in faults. A paged open CRC-checks only the resident sections, so
+// damage to in_targets stays invisible until a block covering it is paged
+// in: the page-in must fail the query that needed it, cache nothing, and
+// leave nothing resident.
+TEST(PageInFaultTest, DamagedBlockFailsTheQueryAndStaysOut) {
+  const std::string path = TempPath("page_in_fault.cwk");
+  Graph graph = GenerateRmat(/*num_nodes=*/600, /*num_edges=*/5000,
+                             /*seed=*/23);
+  IndexingOptions options;
+  options.num_walkers = 10;
+  options.params.num_steps = 4;
+  auto built = CloudWalker::Build(std::move(graph), options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  SnapshotWriteOptions write_options;
+  write_options.block_bytes = 1024;
+  ASSERT_TRUE(SnapshotWriter::Write(path, (*built)->graph(),
+                                    (*built)->index(), SnapshotMetadata{},
+                                    write_options)
+                  .ok());
+
+  auto engine = CloudWalker::OutOfCore(path);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const OutOfCoreWalkBackend& backend = *(*engine)->ooc_backend();
+  const PagedSnapshot& paged = backend.paged_snapshot();
+  ASSERT_GT(paged.blocks().size(), 1u);
+
+  // The source's own block is the first page-in of its walk.
+  NodeId source = 0;
+  while ((*built)->graph().InDegree(source) == 0) ++source;
+  const BlockExtent& block = paged.blocks()[FindBlock(paged.blocks(), source)];
+  ASSERT_GT(block.num_edges(), 0u);
+  auto info = InspectSnapshot(path);
+  ASSERT_TRUE(info.ok());
+  uint64_t in_targets_offset = 0;
+  for (const SnapshotSectionInfo& s : info->sections) {
+    if (s.name == "in_targets") in_targets_offset = s.offset;
+  }
+  ASSERT_GT(in_targets_offset, 0u);
+  const uint64_t flip_at =
+      in_targets_offset +
+      (block.edge_begin + block.num_edges() / 2) * sizeof(NodeId);
+  const auto flip = [&path, flip_at] {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(flip_at));
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    f.seekp(static_cast<std::streamoff>(flip_at));
+    f.write(&byte, 1);
+    ASSERT_TRUE(f.good());
+  };
+  QueryRequest request = QueryRequest::PersonalizedPageRank(source, 10);
+  request.options = QueryOptions{};
+  request.options->num_walkers = 300;
+  flip();
+
+  // The facade returns the page-in's corruption as the query's error...
+  const QueryResponse direct = (*engine)->Execute(request);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_TRUE(direct.status.IsDataLoss()) << direct.status.ToString();
+  EXPECT_NE(direct.status.message().find("checksum mismatch in block"),
+            std::string::npos)
+      << direct.status.ToString();
+  // ...and the failed block never became resident.
+  BlockCacheCounters counters = backend.cache_counters();
+  EXPECT_EQ(counters.bytes_resident, 0u);
+  EXPECT_EQ(counters.bytes_read, 0u);
+
+  // Through the serving layer: the error is that request's, and no
+  // answer is cached for it.
+  QueryService service(*engine);
+  const QueryResponse served = service.Execute(request);
+  ASSERT_FALSE(served.ok());
+  EXPECT_TRUE(served.status.IsDataLoss()) << served.status.ToString();
+  EXPECT_EQ(service.Stats().cache_entries, 0u);
+  EXPECT_EQ(backend.cache_counters().bytes_resident, 0u);
+
+  // Undamaged again, the same request pages the block in afresh and
+  // answers exactly like the mmap open.
+  flip();
+  const uint64_t misses_before = backend.cache_counters().misses;
+  const QueryResponse healed = service.Execute(request);
+  ASSERT_TRUE(healed.ok()) << healed.status.ToString();
+  EXPECT_GT(backend.cache_counters().misses, misses_before);
+  auto mem = CloudWalker::Open(path);
+  ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+  const QueryResponse want = (*mem)->Execute(request);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*healed.topk(), *want.topk());
+
+  // A file truncated under an open engine fails the page-in with IoError.
+  auto reopened = CloudWalker::OutOfCore(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::filesystem::resize_file(path, in_targets_offset + sizeof(NodeId));
+  const QueryResponse truncated = (*reopened)->Execute(request);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_TRUE(truncated.status.IsIoError()) << truncated.status.ToString();
+  EXPECT_EQ((*reopened)->ooc_backend()->cache_counters().bytes_resident, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Block layout pass (ooc/block_layout.h): tiling invariants, the
-// encode/decode round trip with its structural validation, and FindBlock.
+// encode/decode round trip with its structural validation, decoding of the
+// version-1 layout, and FindBlock.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/serialize.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
@@ -13,23 +15,17 @@
 namespace cloudwalker {
 namespace {
 
-// In-adjacency arrays + a uniform-row arena slot per edge, the inputs the
-// snapshot writer hands the layout pass.
+// The in-adjacency arrays, the inputs the snapshot writer hands the
+// layout pass.
 struct PagedArrays {
   std::vector<uint64_t> in_offsets;
   std::vector<NodeId> in_targets;
-  std::vector<AliasSlot> slots;
 };
 
 PagedArrays ArraysOf(const Graph& graph) {
   PagedArrays a;
   a.in_offsets.assign(graph.InOffsets().begin(), graph.InOffsets().end());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    for (const NodeId w : graph.InNeighbors(v)) {
-      a.in_targets.push_back(w);
-      a.slots.push_back(AliasSlot{0, w});
-    }
-  }
+  a.in_targets.assign(graph.InTargets().begin(), graph.InTargets().end());
   return a;
 }
 
@@ -55,7 +51,7 @@ TEST(BlockLayoutTest, TilesNodesAndEdgesContiguously) {
   for (const uint64_t target : {uint64_t{1}, uint64_t{512}, uint64_t{4096},
                                 uint64_t{1} << 30}) {
     const std::vector<BlockExtent> blocks =
-        BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, target);
+        BuildBlockLayout(a.in_offsets, a.in_targets, target);
     ExpectTiles(blocks, graph.num_nodes(), graph.num_edges());
     // Every block beyond a single node respects the byte target: removing
     // its last node would leave it under target (greedy cut).
@@ -79,7 +75,7 @@ TEST(BlockLayoutTest, OversizedRowGetsItsOwnBlock) {
   ASSERT_TRUE(graph.ok());
   const PagedArrays a = ArraysOf(*graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots,
+      BuildBlockLayout(a.in_offsets, a.in_targets,
                        /*target_block_bytes=*/2 * kPagedBytesPerEdge);
   ExpectTiles(blocks, graph->num_nodes(), graph->num_edges());
   const uint32_t hub_block = FindBlock(blocks, 0);
@@ -91,7 +87,7 @@ TEST(BlockLayoutTest, OversizedRowGetsItsOwnBlock) {
 TEST(BlockLayoutTest, EmptyGraphHasNoBlocks) {
   const std::vector<uint64_t> offsets{0};
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(offsets, {}, {}, kDefaultBlockBytes);
+      BuildBlockLayout(offsets, {}, kDefaultBlockBytes);
   EXPECT_TRUE(blocks.empty());
 }
 
@@ -99,23 +95,64 @@ TEST(BlockLayoutTest, EncodeDecodeRoundTrips) {
   const Graph graph = GenerateRmat(300, 2500, /*seed=*/9);
   const PagedArrays a = ArraysOf(graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, /*target=*/1024);
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/1024);
   const std::string bytes = EncodeBlockIndex(blocks, 1024);
 
   std::vector<BlockExtent> decoded;
   uint64_t target = 0;
+  uint32_t version = 0;
   const Status s = DecodeBlockIndex(bytes, graph.num_nodes(),
-                                    graph.num_edges(), &decoded, &target);
+                                    graph.num_edges(), &decoded, &target,
+                                    &version);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(target, 1024u);
+  EXPECT_EQ(version, 2u);
   EXPECT_EQ(decoded, blocks);  // CRCs ride along verbatim
+}
+
+TEST(BlockLayoutTest, DecodesVersionOneIgnoringTheArenaCrc) {
+  // A version-1 block index (written beside format 1's alias arena):
+  // 40-byte extents carrying a second CRC, for the retired arena slice.
+  const Graph graph = GenerateRmat(300, 2500, /*seed=*/9);
+  const PagedArrays a = ArraysOf(graph);
+  const std::vector<BlockExtent> blocks =
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/1024);
+  BinaryWriter w;
+  w.Write<uint32_t>(1);
+  w.Write<uint64_t>(3072);
+  w.Write<uint64_t>(blocks.size());
+  for (const BlockExtent& b : blocks) {
+    w.Write(b.node_begin);
+    w.Write(b.node_end);
+    w.Write(b.edge_begin);
+    w.Write(b.edge_end);
+    w.Write(b.crc_in_targets);
+    w.Write<uint32_t>(0xdeadbeef);  // arena slice CRC: never checked
+  }
+  std::vector<BlockExtent> decoded;
+  uint64_t target = 0;
+  uint32_t version = 0;
+  const Status s = DecodeBlockIndex(w.buffer(), graph.num_nodes(),
+                                    graph.num_edges(), &decoded, &target,
+                                    &version);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(target, 3072u);
+  EXPECT_EQ(decoded, blocks);
+
+  // Any other version is refused.
+  std::string bad = w.buffer();
+  bad[0] = 3;
+  EXPECT_FALSE(DecodeBlockIndex(bad, graph.num_nodes(), graph.num_edges(),
+                                &decoded, &target)
+                   .ok());
 }
 
 TEST(BlockLayoutTest, DecodeRejectsStructuralDamage) {
   const Graph graph = GenerateRmat(100, 800, /*seed=*/2);
   const PagedArrays a = ArraysOf(graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, /*target=*/512);
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/512);
   const std::string bytes = EncodeBlockIndex(blocks, 512);
   std::vector<BlockExtent> decoded;
   uint64_t target = 0;
@@ -147,7 +184,7 @@ TEST(BlockLayoutTest, FindBlockLocatesEveryNode) {
   const Graph graph = GenerateRmat(700, 6000, /*seed=*/13);
   const PagedArrays a = ArraysOf(graph);
   const std::vector<BlockExtent> blocks =
-      BuildBlockLayout(a.in_offsets, a.in_targets, a.slots, /*target=*/2048);
+      BuildBlockLayout(a.in_offsets, a.in_targets, /*target=*/2048);
   ASSERT_GT(blocks.size(), 3u) << "target too large to exercise the search";
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const uint32_t b = FindBlock(blocks, v);

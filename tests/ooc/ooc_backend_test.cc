@@ -39,9 +39,8 @@ class OocBackendTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     path_ = new std::string(TempPath("ooc_fixture.cwk"));
     SnapshotWriteOptions write_options;
-    write_options.block_bytes = 4096;
+    write_options.block_bytes = 1024;
     ASSERT_TRUE(SnapshotWriter::Write(*path_, (*built)->graph(),
-                                      (*built)->walk_context().arena(),
                                       (*built)->index(), SnapshotMetadata{},
                                       write_options)
                     .ok());
@@ -205,8 +204,7 @@ TEST_F(OocBackendTest, OldFormatFallbackAnswersIdentically) {
   const std::string old_path = TempPath("ooc_oldformat.cwk");
   SnapshotWriteOptions write_options;
   write_options.write_block_index = false;
-  ASSERT_TRUE(SnapshotWriter::Write(old_path, mem().graph(),
-                                    mem().walk_context().arena(), mem().index(),
+  ASSERT_TRUE(SnapshotWriter::Write(old_path, mem().graph(), mem().index(),
                                     SnapshotMetadata{}, write_options)
                   .ok());
   auto fallback = CloudWalker::OutOfCore(old_path);

@@ -97,10 +97,16 @@ TEST(ReorderForLocalityTest, RelabelsFaithfully) {
     EXPECT_EQ(artifact->diagonal[u], diagonal[artifact->perm[u]]);
   }
 
-  // Arena mirrors the reordered in-adjacency offsets.
-  ASSERT_EQ(artifact->arena.num_rows(), graph.num_nodes());
+  // In-rows hold the relabeled in-neighbors in ascending external-id
+  // order: slot k names the original row's k-th in-neighbor.
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    EXPECT_EQ(artifact->arena.RowDegree(u), artifact->graph.InDegree(u));
+    const auto original = graph.InNeighbors(artifact->perm[u]);
+    const auto row = artifact->graph.InNeighbors(u);
+    ASSERT_EQ(row.size(), original.size()) << "internal node " << u;
+    for (size_t k = 0; k < row.size(); ++k) {
+      EXPECT_EQ(artifact->perm[row[k]], original[k])
+          << "internal node " << u << " slot " << k;
+    }
   }
 
   EXPECT_FALSE(ReorderForLocality(graph, diagonal, ReorderKind::kNone).ok());

@@ -2,7 +2,7 @@
 // seeded random graphs — dangling nodes, self-loops, parallel edges,
 // disconnected components, empty graphs of every small size — each queried
 // through a sharded engine (cycling shard counts {1, 2, 3, 8}, placements,
-// arena-vs-CSR slices, dangling policies, and all six QueryKinds) and
+// dangling policies, and all six QueryKinds) and
 // asserted exactly equal to the single-node answer. Any divergence in the
 // exchange, routing, or merge logic shows up as a seed to replay.
 
@@ -136,7 +136,6 @@ TEST(ShardFuzzTest, TwoHundredRandomGraphsShardBitIdentically) {
     ShardingOptions shard;
     shard.num_shards = kShardCounts[seed % 4];
     shard.placement = kPlacements[seed % 3];
-    shard.use_arena = (seed % 2 == 0);
     shard.num_threads = (seed % 7 == 0) ? 2 : 0;
     auto sharded_or = CloudWalker::Shard(base, shard);
     ASSERT_TRUE(sharded_or.ok())

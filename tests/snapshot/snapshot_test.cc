@@ -92,7 +92,6 @@ TEST_F(SnapshotTest, OpenIsZeroCopy) {
   // The flat arrays alias the mapping, not heap vectors.
   EXPECT_FALSE(cw.graph().owns_storage());
   EXPECT_FALSE(cw.index().owns_storage());
-  EXPECT_FALSE(cw.walk_context().arena().owns_storage());
   EXPECT_EQ(cw.graph().num_nodes(), built().graph().num_nodes());
   EXPECT_EQ(cw.graph().num_edges(), built().graph().num_edges());
   // Build metadata survived the trip.
@@ -239,7 +238,7 @@ TEST_F(SnapshotTest, RejectsFlippedCrcField) {
   const std::string original = ReadFile(path());
   const std::string mutant = TempPath("crcflip.cwk");
   const uint32_t num_sections = NumSections(original);
-  ASSERT_GE(num_sections, 9u) << "expected the kBlockIndex section too";
+  ASSERT_GE(num_sections, 7u) << "expected the kBlockIndex section too";
   // Section CRCs live at directory offset 64 + 32*i + 24.
   for (uint32_t section = 0; section < num_sections; ++section) {
     std::string bad = original;
@@ -261,12 +260,11 @@ TEST_F(SnapshotTest, OldFormatOpensThroughBothPathsIdentically) {
   SnapshotWriteOptions write_options;
   write_options.write_block_index = false;
   ASSERT_TRUE(SnapshotWriter::Write(old_path, built().graph(),
-                                    built().walk_context().arena(),
                                     built().index(), SnapshotMetadata{},
                                     write_options)
                   .ok());
   const std::string bytes = ReadFile(old_path);
-  EXPECT_EQ(NumSections(bytes), 8u) << "compat knob wrote a new section";
+  EXPECT_EQ(NumSections(bytes), 6u) << "compat knob wrote a new section";
 
   auto mmap_open = CloudWalker::Open(old_path);
   ASSERT_TRUE(mmap_open.ok()) << mmap_open.status().ToString();
@@ -304,7 +302,8 @@ TEST_F(SnapshotTest, MadviseFailureIsBestEffort) {
 TEST_F(SnapshotTest, InspectReportsDirectoryAndFlagsDamage) {
   auto info = InspectSnapshot(path());
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->format_version, 1u);
+  EXPECT_EQ(info->format_version, 2u);
+  EXPECT_EQ(info->block_index_version, 2u);
   EXPECT_EQ(info->num_nodes, built().graph().num_nodes());
   EXPECT_EQ(info->num_edges, built().graph().num_edges());
   EXPECT_TRUE(info->header_crc_ok);
@@ -315,6 +314,7 @@ TEST_F(SnapshotTest, InspectReportsDirectoryAndFlagsDamage) {
   for (const SnapshotSectionInfo& s : info->sections) {
     EXPECT_TRUE(s.crc_ok) << s.name;
     EXPECT_NE(s.name, "unknown");
+    EXPECT_FALSE(s.retired) << s.name;
   }
 
   // Diagnostic-grade on damage: a flipped payload byte is *reported*, not
@@ -352,15 +352,17 @@ TEST(SnapshotWriterTest, RejectsMismatchedInputs) {
   auto cw = CloudWalker::Build(&g1, options);
   ASSERT_TRUE(cw.ok());
   // Index from a different graph: node counts disagree.
-  const Status s = SnapshotWriter::Write(
-      TempPath("bad.cwk"), g2, AliasArena::BuildInLink(g2), cw->index(),
-      SnapshotMetadata{});
+  const Status s = SnapshotWriter::Write(TempPath("bad.cwk"), g2, cw->index(),
+                                         SnapshotMetadata{});
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  // Arena from a different graph: in-adjacency diverges.
-  const Status s2 = SnapshotWriter::Write(
-      TempPath("bad.cwk"), g1, AliasArena::BuildInLink(g1.Reversed()),
-      cw->index(), SnapshotMetadata{});
+  // A permutation that is not a bijection over the node ids.
+  SnapshotWriteOptions write_options;
+  const std::vector<NodeId> not_a_bijection(g1.num_nodes(), 0);
+  write_options.permutation = not_a_bijection;
+  const Status s2 = SnapshotWriter::Write(TempPath("bad.cwk"), g1,
+                                          cw->index(), SnapshotMetadata{},
+                                          write_options);
   ASSERT_FALSE(s2.ok());
   EXPECT_TRUE(s2.IsInvalidArgument()) << s2.ToString();
 }

@@ -17,10 +17,9 @@
 //        --ppr-frac=0.1 --n2v-frac=0.1]
 //       [--deadline-ms=50] [--max-queue=4096]
 //
-// The query commands take either a --snapshot=PATH (a cloudwalker-snap-v1
-// artifact written by `index --snapshot-out`, mmap-opened in milliseconds)
-// or the legacy --graph=PATH --index=PATH pair (graph reload + arena
-// rebuild at startup). `serve --reload-on=sighup` re-opens the snapshot
+// The query commands take either a --snapshot=PATH (a snapshot artifact
+// written by `index --snapshot-out`, mmap-opened in milliseconds) or the
+// legacy --graph=PATH --index=PATH pair (graph reload at startup). `serve --reload-on=sighup` re-opens the snapshot
 // and hot-swaps it into the running service when the process receives
 // SIGHUP — the operator's zero-downtime reload.
 //
@@ -395,16 +394,17 @@ int CmdSnapshotInfo(const std::string& path) {
   }
   auto info = InspectSnapshot(path);
   if (!info.ok()) return Fail(info.status().ToString());
-  std::cout << path << ": cloudwalker-snap-v" << info->format_version
-            << ", " << HumanCount(info->num_nodes) << " nodes, "
+  std::cout << path << ": cloudwalker snapshot, "
+            << HumanCount(info->num_nodes) << " nodes, "
             << HumanCount(info->num_edges) << " edges, "
             << HumanBytes(info->file_bytes) << "\n"
+            << "format version:       " << info->format_version << "\n"
             << "header+directory crc: "
             << (info->header_crc_ok ? "ok" : "BAD") << "\n"
             << "block index:          ";
   if (info->has_block_index) {
-    std::cout << "present (" << HumanCount(info->block_count)
-              << " blocks)\n";
+    std::cout << "present (version " << info->block_index_version << ", "
+              << HumanCount(info->block_count) << " blocks)\n";
   } else {
     std::cout << "absent (pre-out-of-core format; OutOfCore() opens fall "
                  "back to whole-file residency)\n";
@@ -420,7 +420,8 @@ int CmdSnapshotInfo(const std::string& path) {
     for (size_t pad = s.name.size(); pad < 14; ++pad) std::cout << ' ';
     std::cout << " offset " << s.offset << ", " << HumanBytes(s.length)
               << ", elem " << s.elem_size << "B, crc "
-              << (s.crc_ok ? "ok" : "BAD") << "\n";
+              << (s.crc_ok ? "ok" : "BAD")
+              << (s.retired ? ", retired (ignored)" : "") << "\n";
     if (!s.crc_ok) ++bad;
   }
   if (bad != 0) {
